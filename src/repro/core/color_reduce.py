@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.congested_clique.model import CongestedCliqueSimulator
 from repro.core.context import CongestedCliqueContext, ExecutionContext
@@ -185,12 +187,13 @@ class ColorReduce:
         # than l = Δ colors (Corollary 3.3 (i)).  Instances with smaller
         # (deg+1)-style palettes are the low-space algorithm's job
         # (Theorem 1.4 / LowSpaceColorReduce).
-        undersized = [
-            node for node in graph.nodes() if palettes.palette_size(node) <= raw_ell
-        ]
-        if undersized:
+        node_list = graph.nodes()
+        sizes = palettes.palette_sizes(node_list)
+        undersized = sizes <= raw_ell
+        if bool(undersized.any()):
+            first = int(np.argmax(undersized))
             raise PaletteError(
-                f"node {undersized[0]} has only {palettes.palette_size(undersized[0])} "
+                f"node {node_list[first]} has only {int(sizes[first])} "
                 f"colors but ColorReduce requires more than l = {raw_ell:g} per node "
                 "((Δ+1)-list coloring); use LowSpaceColorReduce for (deg+1)-list instances"
             )

@@ -3,10 +3,9 @@
 Per-bin dispatch was the last interpreter-bound hot path: after a
 ``Partition`` call splits an instance into ``B`` sibling color bins, the
 recursion used to descend into each bin separately, and each child's own
-``Partition`` call re-entered the Python layer — most expensively through
-FIRST_FEASIBLE's scalar head probe (``cost(*batch[0])``, a full
-O(n + m) pure-Python :func:`~repro.core.classification.classify_partition`
-per child per level).  This module evaluates the Eq (1) / Eq (2) costs of
+``Partition`` call re-entered the Python layer and scored its own head
+candidate (one batch-kernel call per child per level, each on its own
+static arrays).  This module evaluates the Eq (1) / Eq (2) costs of
 *all* siblings' head candidate batches in one segmented array pass:
 
 * per-child static arrays (CSR edges, flattened palette entries,
@@ -54,9 +53,8 @@ _SALT_STRIDE = 1_000_003
 #: Engagement floor for the cross-bin prefetch, in instance size
 #: (``num_nodes + num_edges``).  The prefetch eagerly scores the *whole*
 #: head batch for every sibling, while the per-bin ``FIRST_FEASIBLE``
-#: probe stops at the first feasible candidate — usually the head
-#: (Lemma 3.8).  The trade only pays when one scalar head probe costs
-#: more than ``batch_size`` vectorized candidates, i.e. on children big
+#: scan stops at the first feasible candidate — usually the head
+#: (Lemma 3.8), scored alone.  The trade only pays on children big
 #: enough to amortize the level arrays' setup; below the floor the
 #: drivers keep the per-bin route (outcomes are identical either way).
 LEVEL_PREFETCH_MIN_SIZE = 32_768

@@ -307,22 +307,23 @@ class HashPairSelector:
         steps = 0
         best: Optional[Tuple[float, HashFunction, HashFunction]] = None
         batch_cost = self._batch_cost(cost)
-        probe_pending = batch_cost is not None
+        head_pending = batch_cost is not None
         for batch in self._candidate_batches():
             steps += 1
             # One matrix computation scores the whole batch (in the model:
             # the batch's concurrent prefix sums); the scan semantics —
             # evaluations counted up to the first feasible candidate, in
             # candidate order — are identical to the scalar path.  The very
-            # first candidate is probed scalar first: Lemma 3.8 makes it
-            # feasible a constant fraction of the time, and a feasible probe
-            # skips both the batch computation and the kernel's one-time
-            # array preparation (values are bit-identical either way).
+            # first candidate is scored alone: Lemma 3.8 makes it feasible a
+            # constant fraction of the time, and a feasible head skips the
+            # other candidates of the batch.  It goes through the same batch
+            # kernel, whose one-time array preparation the selected pair's
+            # classification (``classify_selected``) reuses anyway.
             if batch_cost is None:
                 values = None
-            elif probe_pending:
-                probe_pending = False
-                head = cost(*batch[0])
+            elif head_pending:
+                head_pending = False
+                head = batch_cost(batch[:1])[0]
                 if target_bound is None or head <= target_bound:
                     values = [head]  # feasible: the scan returns at index 0
                 else:

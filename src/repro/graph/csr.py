@@ -48,6 +48,7 @@ Callers that rely on the warm view include the batched cost evaluators
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
@@ -87,13 +88,7 @@ class GraphCSR:
         """Whether ``node_ids[i] == i`` for all ``i`` (cached)."""
         cached = self._ids_are_positions
         if cached is None:
-            try:
-                ids = np.asarray(self.node_ids, dtype=np.int64)
-                cached = bool(
-                    np.array_equal(ids, np.arange(ids.shape[0], dtype=np.int64))
-                )
-            except (OverflowError, TypeError):
-                cached = False
+            cached = _ids_are_positions(self.node_ids)
             object.__setattr__(self, "_ids_are_positions", cached)
         return cached
 
@@ -119,6 +114,20 @@ def index_dtype(num_nodes: int) -> type:
     return np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
 
 
+def _ids_are_positions(node_ids: Sequence[NodeId]) -> bool:
+    """Whether ``node_ids`` is exactly the integers ``0..n-1`` in order.
+
+    NumPy infers the element type: strings, floats and ids beyond int64
+    never come out as an integer array, so they never pass.
+    """
+    if not len(node_ids):
+        return True
+    ids = np.array(node_ids)
+    return ids.dtype.kind in "iu" and bool(
+        np.array_equal(ids, np.arange(ids.shape[0]))
+    )
+
+
 def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
     """Build a :class:`GraphCSR` from an adjacency-set mapping.
 
@@ -128,10 +137,12 @@ def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
     :func:`index_dtype`-narrowed).  Neighbor lists are sorted by
     *position* so the layout is deterministic for a given insertion order
     (the batched and scalar cost paths then traverse edges in a fixed
-    order).
+    order).  When the ids are ``0..n-1`` (the generators' root instances)
+    every neighbor id already is its position, so ``indices`` is read off
+    the chained adjacency sets in one ``np.fromiter`` pass; other ids go
+    through a ``position`` dict lookup per entry.
     """
     node_ids = list(adjacency)
-    position = {node: index for index, node in enumerate(node_ids)}
     num_nodes = len(node_ids)
     dtype = index_dtype(num_nodes)
     degrees = np.fromiter(
@@ -144,10 +155,21 @@ def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
     # a single C-level sort of (source, target) keys instead of a Python
     # ``sorted`` per node: groups stay contiguous and targets end up sorted
     # within each group.
-    flat = [
-        position[neighbor] for node in node_ids for neighbor in adjacency[node]
-    ]
-    indices = np.asarray(flat, dtype=dtype)
+    ids_are_positions = _ids_are_positions(node_ids)
+    position = None
+    if ids_are_positions:
+        indices = np.fromiter(
+            itertools.chain.from_iterable(adjacency.values()),
+            dtype=dtype,
+            count=int(indptr[-1]),
+        )
+    else:
+        position = {node: index for index, node in enumerate(node_ids)}
+        indices = np.fromiter(
+            (position[neighbor] for node in node_ids for neighbor in adjacency[node]),
+            dtype=dtype,
+            count=int(indptr[-1]),
+        )
     if num_nodes and indices.shape[0]:
         keys = np.sort(
             edge_sources.astype(np.int64) * num_nodes + indices.astype(np.int64)
@@ -160,6 +182,7 @@ def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
         degrees=degrees,
         edge_sources=edge_sources,
         _position=position,
+        _ids_are_positions=ids_are_positions,
     )
 
 

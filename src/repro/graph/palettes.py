@@ -19,10 +19,11 @@ that mirror the graph layer's adjacency-sets / CSR-view split:
   kernels already emit internally.
 
 The store is built lazily from the sets on the first :meth:`store` call
-and cached; scalar mutation invalidates it.  Conversely, assignments
-produced by the batch kernels (:meth:`restricted_by_bins`, :meth:`subset`
-on an array-backed parent, the fused classification path) carry *only*
-their arrays — often plain slices of the parent's flat store — and
+and cached; scalar mutation invalidates it.  Conversely, the canonical
+``(Δ+1)`` / ``(deg+1)`` constructors and the assignments produced by the
+batch kernels (:meth:`restricted_by_bins`, :meth:`subset` on an
+array-backed parent, the fused classification path) carry *only* their
+arrays — often plain slices of the parent's flat store — and
 materialise Python sets on the first genuinely set-based access, just like
 CSR-extracted graphs materialise adjacency lazily.  Every public operation
 answers from whichever backing is available, with identical results.
@@ -277,16 +278,32 @@ def _frame_query_positions(frame_colors, frame_size: int, neighbor_colors, color
     return query_positions, colored_mask & (frame_colors[query_positions] == neighbor_colors)
 
 
+def _offsets_of(sizes: np.ndarray) -> np.ndarray:
+    """Store offsets (``(n + 1,)`` int64) for per-row palette ``sizes``."""
+    offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _narrow_colors(flat: np.ndarray) -> np.ndarray:
+    """``flat`` as int32 when every color fits ``[0, 2**31)``, else as is.
+
+    The dtype policy in ``docs/ARCHITECTURE.md``: anything negative or
+    wider keeps the overflow-guarded int64 representation, and an empty
+    store stays int64.  Children derived by slicing/compaction inherit the
+    root's dtype.
+    """
+    if flat.shape[0] and int(flat.min()) >= 0 and int(flat.max()) <= np.iinfo(np.int32).max:
+        return flat.astype(np.int32)
+    return flat
+
+
 def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
     """Build a :class:`_PaletteStore` from a ``node -> color set`` mapping.
 
     Returns ``None`` when a color cannot be represented as int64 (the
     assignment then stays sets-only and every batch entry point falls back
-    to its scalar reference).  Colors that all fit ``[0, 2**31)`` are
-    narrowed to int32 (the dtype policy in ``docs/ARCHITECTURE.md``);
-    anything negative or wider keeps the overflow-guarded int64
-    representation.  Children derived by slicing/compaction inherit the
-    root's dtype.
+    to its scalar reference); colors are narrowed by :func:`_narrow_colors`.
     """
     import itertools
 
@@ -295,8 +312,7 @@ def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
     lengths = np.fromiter(
         (len(sets[node]) for node in nodes), dtype=np.int64, count=count
     )
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    offsets = _offsets_of(lengths)
     total = int(offsets[-1])
     try:
         flat = np.fromiter(
@@ -311,10 +327,24 @@ def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
         # lexsort is overflow-free (no combined keys): stable sort by
         # (owner, color) leaves each node's slice sorted ascending.
         flat = flat[np.lexsort((flat, owners))]
-        # flat is sorted per-owner slice, not globally — bound via min/max.
-        if int(flat.min()) >= 0 and int(flat.max()) <= np.iinfo(np.int32).max:
-            flat = flat.astype(np.int32)
-    return _PaletteStore(nodes, flat, offsets)
+    return _PaletteStore(nodes, _narrow_colors(flat), offsets)
+
+
+def store_rows(store: _PaletteStore, node_list: List[NodeId]) -> np.ndarray:
+    """Store rows of ``node_list`` (int64), ``-1`` for nodes without one.
+
+    When the store lists exactly ``node_list`` (a root instance's palettes
+    queried in graph order) the rows are ``arange`` and the node index is
+    never built.
+    """
+    if store.nodes == node_list:
+        return np.arange(len(node_list), dtype=np.int64)
+    index = store.index
+    return np.fromiter(
+        (index.get(node, -1) for node in node_list),
+        dtype=np.int64,
+        count=len(node_list),
+    )
 
 
 class PaletteAssignment:
@@ -393,15 +423,35 @@ class PaletteAssignment:
     # ------------------------------------------------------------------
     @classmethod
     def delta_plus_one(cls, graph: Graph, delta: Optional[int] = None) -> "PaletteAssignment":
-        """Palettes ``{0..Δ}`` for every node (plain ``(Δ+1)``-coloring)."""
+        """Palettes ``{0..Δ}`` for every node (plain ``(Δ+1)``-coloring).
+
+        Born array-backed: the store is ``{0..Δ}`` tiled once per node, so
+        no per-node set is built (sets stay lazy, as for the batch
+        kernels' children) and :meth:`store` / :meth:`copy` are O(1).
+        """
         max_degree = graph.max_degree() if delta is None else delta
-        shared = range(max_degree + 1)
-        return cls({node: shared for node in graph.nodes()})
+        nodes = graph.nodes()
+        width = max(max_degree + 1, 0)
+        sizes = np.full(len(nodes), width, dtype=np.int64)
+        flat = np.tile(_narrow_colors(np.arange(width, dtype=np.int64)), len(nodes))
+        return cls._from_arrays(nodes, flat, _offsets_of(sizes))
 
     @classmethod
     def degree_plus_one(cls, graph: Graph) -> "PaletteAssignment":
-        """Palettes ``{0..deg(v)}`` (the canonical ``(deg+1)`` instance)."""
-        return cls({node: range(graph.degree(node) + 1) for node in graph.nodes()})
+        """Palettes ``{0..deg(v)}`` (the canonical ``(deg+1)`` instance).
+
+        Born array-backed like :meth:`delta_plus_one`: each node's run is
+        ``arange(total) - repeat(offsets[:-1], sizes)``.
+        """
+        nodes = graph.nodes()
+        sizes = np.fromiter(
+            (graph.degree(node) + 1 for node in nodes), dtype=np.int64, count=len(nodes)
+        )
+        offsets = _offsets_of(sizes)
+        flat = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(
+            offsets[:-1], sizes
+        )
+        return cls._from_arrays(nodes, _narrow_colors(flat), offsets)
 
     @classmethod
     def from_lists(cls, palettes: Mapping[NodeId, Iterable[Color]]) -> "PaletteAssignment":
@@ -542,6 +592,25 @@ class PaletteAssignment:
         store = self._store
         row = self._row_of(store, node)
         return int(store.offsets[row + 1] - store.offsets[row])
+
+    def palette_sizes(self, nodes: List[NodeId]) -> np.ndarray:
+        """``p(v)`` for every node of ``nodes``, as an int64 array.
+
+        Answers from the warm array store's ``sizes()`` in one gather;
+        raises :class:`PaletteError` for the first node without a palette.
+        """
+        store = self._store_if_warm()
+        if store is None:
+            return np.fromiter(
+                (self.palette_size(node) for node in nodes),
+                dtype=np.int64,
+                count=len(nodes),
+            )
+        rows = store_rows(store, nodes)
+        missing = rows < 0
+        if bool(missing.any()):
+            raise PaletteError(f"node {nodes[int(np.argmax(missing))]} has no palette")
+        return store.sizes()[rows]
 
     def total_size(self) -> int:
         """Total number of (node, color) palette entries — the paper's
@@ -1067,12 +1136,7 @@ class PaletteAssignment:
                     )
             return
         node_list = graph.nodes()
-        index = store.index
-        rows = np.fromiter(
-            (index.get(node, -1) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
+        rows = store_rows(store, node_list)
         missing = rows < 0
         safe_rows = np.where(missing, 0, rows)
         sizes = store.offsets[safe_rows + 1] - store.offsets[safe_rows]
@@ -1107,12 +1171,7 @@ class PaletteAssignment:
                 return 0
             return min(slacks)
         node_list = graph.nodes()
-        index = store.index
-        rows = np.fromiter(
-            (index.get(node, -1) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
+        rows = store_rows(store, node_list)
         present = rows >= 0
         if not bool(present.any()):
             return 0

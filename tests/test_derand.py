@@ -183,3 +183,84 @@ class TestCostHelpers:
         h2 = family2.from_seed_int(0)
         assert is_feasible(balance_cost, h1, h2, None)
         assert not is_feasible(lambda a, b: 10.0, h1, h2, 5.0)
+
+
+class TestFirstFeasibleHeadScoring:
+    """The batched FIRST_FEASIBLE scan never calls the scalar evaluator."""
+
+    @staticmethod
+    def _setup():
+        from repro.core.classification import partition_cost_function
+        from repro.core.params import ColorReduceParameters
+        from repro.core.partition import Partition
+        from repro.graph import PaletteAssignment
+        from repro.graph.generators import erdos_renyi
+
+        graph = erdos_renyi(200, 0.2, seed=11)
+        palettes = PaletteAssignment.delta_plus_one(graph)
+        params = ColorReduceParameters.scaled(num_bins=8)
+        ell = max(float(graph.max_degree()), 2.0)
+        families = Partition(params).build_families(
+            graph, palettes, ell, graph.num_nodes
+        )
+
+        def make_cost():
+            return partition_cost_function(graph, palettes, params, ell, graph.num_nodes)
+
+        return families, make_cost
+
+    @staticmethod
+    def _select(families, cost, bound, use_batch, batch_size):
+        selector = HashPairSelector(
+            *families, batch_size=batch_size, max_candidates=64, use_batch=use_batch
+        )
+        try:
+            outcome = selector.select(cost, target_bound=bound)
+        except DerandomizationError as exc:
+            return str(exc)
+        return (
+            outcome.h1.seed,
+            outcome.h2.seed,
+            outcome.cost,
+            outcome.evaluations,
+            outcome.rounds_charged,
+            outcome.strategy,
+            outcome.fallback_used,
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_batch_path_skips_scalar_call_and_matches_scalar_path(
+        self, monkeypatch, batch_size
+    ):
+        from repro.core.classification import PartitionCostEvaluator
+        from repro.core.level import head_pairs
+
+        families, make_cost = self._setup()
+        values = make_cost().many(head_pairs(*families, 0, 64))
+        best = min(values)
+        # No bound, a feasible head, a bound the head misses but a later
+        # candidate meets, and an unreachable bound (same error text).
+        assert values[0] > best
+        bounds = [None, values[0], best, best - 1]
+
+        reference = [
+            self._select(families, make_cost(), bound, False, batch_size)
+            for bound in bounds
+        ]
+        scalar_calls = []
+        original = PartitionCostEvaluator.__call__
+
+        def spy(self, h1, h2):
+            scalar_calls.append((h1, h2))
+            return original(self, h1, h2)
+
+        monkeypatch.setattr(PartitionCostEvaluator, "__call__", spy)
+        batched = [
+            self._select(families, make_cost(), bound, True, batch_size)
+            for bound in bounds
+        ]
+        assert scalar_calls == []
+        assert batched == reference
+        assert batched[1][3] == 1
+        assert batched[2][3] == values.index(best) + 1
+        assert isinstance(batched[3], str)

@@ -36,6 +36,84 @@ class TestConstructors:
         assert clone.palette(0) == {2}
 
 
+def _set_built_delta_plus_one(graph, delta=None):
+    """The set-built ``{0..Δ}`` palettes the array constructor replaced."""
+    max_degree = graph.max_degree() if delta is None else delta
+    return PaletteAssignment({node: range(max_degree + 1) for node in graph.nodes()})
+
+
+def _set_built_degree_plus_one(graph, delta=None):
+    """The set-built ``{0..deg(v)}`` palettes the array constructor replaced."""
+    assert delta is None
+    return PaletteAssignment(
+        {node: range(graph.degree(node) + 1) for node in graph.nodes()}
+    )
+
+
+def _assert_same_palettes(built, reference):
+    assert built.nodes() == reference.nodes()
+    for node in reference.nodes():
+        assert built.palette(node) == reference.palette(node)
+        assert built.palette_size(node) == reference.palette_size(node)
+    assert built.color_universe() == reference.color_universe()
+    assert built.total_size() == reference.total_size()
+
+
+class TestArrayBornConstructors:
+    """The array-built (Δ+1) / (deg+1) palettes equal the set-built ones."""
+
+    CONSTRUCTORS = [
+        pytest.param(
+            PaletteAssignment.delta_plus_one, _set_built_delta_plus_one, None,
+            id="delta_plus_one",
+        ),
+        pytest.param(
+            PaletteAssignment.delta_plus_one, _set_built_delta_plus_one, 5,
+            id="delta_plus_one-explicit-delta",
+        ),
+        pytest.param(
+            PaletteAssignment.delta_plus_one, _set_built_delta_plus_one, 0,
+            id="delta_plus_one-delta-0",
+        ),
+        pytest.param(
+            lambda graph: PaletteAssignment.degree_plus_one(graph),
+            _set_built_degree_plus_one, None,
+            id="degree_plus_one",
+        ),
+    ]
+    GRAPHS = [
+        pytest.param(Graph(), id="empty"),
+        pytest.param(Graph.empty(4), id="isolated"),
+        pytest.param(
+            Graph(nodes=[9, 2, 40], edges=[(2, 7), (7, 40), (2, 40), (11, 3)]),
+            id="mixed",
+        ),
+    ]
+
+    @pytest.mark.parametrize("build, reference_build, delta", CONSTRUCTORS)
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_equal_to_set_built(self, graph, build, reference_build, delta):
+        built = build(graph) if delta is None else build(graph, delta=delta)
+        reference = reference_build(graph, delta)
+        _assert_same_palettes(built, reference)
+        assert built.store() is not None
+        if reference.store() is not None:
+            assert built.store().flat.tolist() == reference.store().flat.tolist()
+            assert built.store().offsets.tolist() == reference.store().offsets.tolist()
+        for node in graph.nodes()[:2]:
+            built.remove_color(node, 0)
+            reference.remove_color(node, 0)
+        _assert_same_palettes(built, reference)
+
+    def test_copies_share_the_store_but_not_mutations(self, path_graph):
+        palettes = PaletteAssignment.delta_plus_one(path_graph)
+        clone = palettes.copy()
+        assert clone.store() is palettes.store()
+        clone.remove_color(0, 1)
+        assert palettes.palette(0) == {0, 1, 2}
+        assert clone.palette(0) == {0, 2}
+
+
 class TestQueries:
     def test_missing_node_raises(self):
         palettes = PaletteAssignment.from_lists({0: [1]})

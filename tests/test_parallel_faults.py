@@ -446,9 +446,10 @@ def _chaos_graph():
 
 def _run_color_reduce(workers: int, **knobs):
     # EXHAUSTIVE scores every candidate batch through the batch scorer, so
-    # the pool genuinely sees a stream of slabs (FIRST_FEASIBLE's scalar
-    # first-candidate probe usually succeeds on these instances and would
-    # leave the pool idle — no faults would ever fire).
+    # the pool genuinely sees a stream of slabs (FIRST_FEASIBLE scores its
+    # head candidate alone, and that head is usually feasible on these
+    # instances — the pool would see almost no slabs and no faults would
+    # ever fire).
     from repro.derand.conditional_expectation import SelectionStrategy
 
     params = ColorReduceParameters.scaled(
