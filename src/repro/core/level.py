@@ -1,12 +1,12 @@
 """Segmented cross-bin kernels: score a whole recursion level in one pass.
 
-Per-bin dispatch was the last interpreter-bound hot path: after a
-``Partition`` call splits an instance into ``B`` sibling color bins, the
-recursion used to descend into each bin separately, and each child's own
-``Partition`` call re-entered the Python layer and scored its own head
-candidate (one batch-kernel call per child per level, each on its own
-static arrays).  This module evaluates the Eq (1) / Eq (2) costs of
-*all* siblings' head candidate batches in one segmented array pass:
+After a ``Partition`` call splits an instance into ``B`` sibling color
+bins, the recursion descends into each bin separately, and each child's
+own ``Partition`` call scores its own head candidate with the batch
+kernel.  This module instead evaluates the Eq (1) / Eq (2) costs of *all*
+siblings' head candidate batches in one segmented array pass, which
+measures costlier than the per-bin route (see
+:data:`LEVEL_PREFETCH_MIN_SIZE`):
 
 * per-child static arrays (CSR edges, flattened palette entries,
   thresholds) are concatenated once with per-bin offsets,
@@ -51,12 +51,16 @@ from repro.hashing import batch as hb
 _SALT_STRIDE = 1_000_003
 
 #: Engagement floor for the cross-bin prefetch, in instance size
-#: (``num_nodes + num_edges``).  The prefetch eagerly scores the *whole*
-#: head batch for every sibling, while the per-bin ``FIRST_FEASIBLE``
-#: scan stops at the first feasible candidate — usually the head
-#: (Lemma 3.8), scored alone.  The trade only pays on children big
-#: enough to amortize the level arrays' setup; below the floor the
-#: drivers keep the per-bin route (outcomes are identical either way).
+#: (``num_nodes + num_edges``); below it the drivers keep the per-bin
+#: route (outcomes are identical either way).  The prefetch eagerly scores
+#: the *whole* head batch for every sibling, while the per-bin
+#: ``FIRST_FEASIBLE`` scan scores the head alone with the batch kernel and
+#: stops there when it is feasible — usually (Lemma 3.8).  The floor was
+#: set when that head was a scalar probe and no longer marks a break-even
+#: point: on the two root children of G(n, 16/n), n = 10^5 (about 1.2e5
+#: each), the prefetch takes 0.35 s against 0.03 s for the two batched
+#: heads, and a whole ``ColorReduce`` run takes 3.7 s with the prefetch
+#: against 3.1 s with ``level_use_batch=False`` (2-vCPU x86 host).
 LEVEL_PREFETCH_MIN_SIZE = 32_768
 
 

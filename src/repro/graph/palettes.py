@@ -301,9 +301,12 @@ def _narrow_colors(flat: np.ndarray) -> np.ndarray:
 def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
     """Build a :class:`_PaletteStore` from a ``node -> color set`` mapping.
 
-    Returns ``None`` when a color cannot be represented as int64 (the
+    Returns ``None`` when a color is not an integer that fits int64 (the
     assignment then stays sets-only and every batch entry point falls back
     to its scalar reference); colors are narrowed by :func:`_narrow_colors`.
+    The dtype is inferred rather than imposed, so a float or a numeric
+    string is refused instead of being cast (``0.5`` to ``0``, ``"1"`` to
+    ``1``) into a color the scalar code would not match.
     """
     import itertools
 
@@ -314,19 +317,18 @@ def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
     )
     offsets = _offsets_of(lengths)
     total = int(offsets[-1])
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(sets[node] for node in nodes),
-            dtype=np.int64,
-            count=total,
-        )
-    except (OverflowError, TypeError, ValueError):
+    if not total:
+        return _PaletteStore(nodes, np.zeros(0, dtype=np.int64), offsets)
+    flat = np.array(list(itertools.chain.from_iterable(sets[node] for node in nodes)))
+    if flat.dtype.kind not in "iu" or (
+        flat.dtype.kind == "u" and int(flat.max()) > np.iinfo(np.int64).max
+    ):
         return None
-    if total:
-        owners = np.repeat(np.arange(count, dtype=np.int64), lengths)
-        # lexsort is overflow-free (no combined keys): stable sort by
-        # (owner, color) leaves each node's slice sorted ascending.
-        flat = flat[np.lexsort((flat, owners))]
+    flat = flat.astype(np.int64, copy=False)
+    owners = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    # lexsort is overflow-free (no combined keys): stable sort by
+    # (owner, color) leaves each node's slice sorted ascending.
+    flat = flat[np.lexsort((flat, owners))]
     return _PaletteStore(nodes, _narrow_colors(flat), offsets)
 
 

@@ -74,7 +74,7 @@ class TestHelpers:
 
 
 #: Defects injected into an otherwise valid list coloring, one at a time.
-DEFECTS = ("none", "uncolored", "monochromatic", "outside-palette")
+DEFECTS = ("none", "uncolored", "monochromatic", "outside-palette", "non-integer-palette")
 #: Shift moving every color to at least 2**63 (beyond int64).
 HUGE = 1 << 63
 
@@ -87,7 +87,10 @@ def list_colorings(draw):
     palettes are ``deg(v) + 1 + extra`` random colors, either set-backed or
     (for the (Δ+1) shape) array-born; the coloring is a greedy one with
     the drawn defect injected, and optionally every color shifted beyond
-    int64.  Returns the defect actually injected, suffixed ``+huge`` when
+    int64.  The ``non-integer-palette`` defect swaps one node's color in
+    its palette for a float or a string that an int64 cast would turn back
+    into that color (``c + 0.5`` truncates to ``c``, ``str(c)`` parses to
+    ``c``).  Returns the defect actually injected, suffixed ``+huge`` when
     the colors were shifted.
     """
     n = draw(st.integers(min_value=0, max_value=25))
@@ -125,6 +128,14 @@ def list_colorings(draw):
         coloring[v] = coloring[u]
     elif defect == "outside-palette" and nodes:
         coloring[rng.choice(nodes)] = 10**6
+    elif defect == "non-integer-palette" and nodes:
+        node = rng.choice(nodes)
+        color = coloring[node]
+        lookalike = draw(st.sampled_from((color + 0.5, str(color))))
+        lists = {other: set(palettes.palette(other)) for other in nodes}
+        lists[node] = (lists[node] - {color}) | {lookalike}
+        palettes = PaletteAssignment.from_lists(lists)
+        return graph, palettes, coloring, defect
     else:
         defect = "none"
     if draw(st.booleans()):
@@ -155,6 +166,8 @@ class TestVectorizedListColoringCheck:
         verdict = list_coloring_verdict(graph, palettes, coloring)
         if defect.endswith("+huge") and coloring and defect != "uncolored+huge":
             assert verdict is None  # beyond int64: the scalar path decides
+        elif defect == "non-integer-palette":
+            assert verdict is None  # no int64 store: the scalar path decides
         else:
             assert verdict is (expected is None)
         assert (expected is None) is (defect in ("none", "none+huge"))
