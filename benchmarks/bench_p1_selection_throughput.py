@@ -14,7 +14,8 @@ so future PRs have a recorded trajectory (``BENCH_*.json``) to regress
 against.  The throughput measurement scans a fixed candidate budget (an
 unreachable target bound, so both paths examine exactly the same
 candidates); the equivalence measurement runs a real selection against the
-Lemma 3.9 target.
+Lemma 3.9 target.  The scalar side selects against :func:`_scalar`, a plain
+callable without ``many``, which the selector scores one pair at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +64,12 @@ def _setup(scale: str):
     return graph, palettes, params, ell, cost, family1, family2, budget
 
 
-def _scan_fixed_budget(cost, family1, family2, budget, use_batch):
+def _scalar(cost):
+    """``cost`` as a plain callable: the selector's scalar reference scan."""
+    return lambda h1, h2: cost(h1, h2)
+
+
+def _scan_fixed_budget(cost, family1, family2, budget):
     """FIRST_FEASIBLE over exactly ``budget`` candidates (infeasible bound)."""
     selector = HashPairSelector(
         family1,
@@ -72,7 +78,6 @@ def _scan_fixed_budget(cost, family1, family2, budget, use_batch):
         batch_size=16,
         max_candidates=budget,
         candidate_salt=7,
-        use_batch=use_batch,
     )
     started = time.perf_counter()
     with pytest.raises(DerandomizationError):
@@ -80,7 +85,7 @@ def _scan_fixed_budget(cost, family1, family2, budget, use_batch):
     return time.perf_counter() - started
 
 
-def _conditional_expectation_search(cost, family1, family2, use_batch):
+def _conditional_expectation_search(cost, family1, family2):
     """One full conditional-expectation search (reduced color-seed width)."""
     selector = HashPairSelector(
         family1,
@@ -90,7 +95,6 @@ def _conditional_expectation_search(cost, family1, family2, use_batch):
         completion_samples=1,
         exact_completion_bits=4,
         candidate_salt=7,
-        use_batch=use_batch,
     )
     started = time.perf_counter()
     outcome = selector.select(cost, target_bound=None)
@@ -112,10 +116,10 @@ def test_p1_selection_throughput(benchmark, experiment_scale):
     cost(*warm_pair)
 
     # --- headline: FIRST_FEASIBLE scan over a fixed candidate budget ------
-    scalar_scan = _scan_fixed_budget(cost, family1, family2, budget, use_batch=False)
+    scalar_scan = _scan_fixed_budget(_scalar(cost), family1, family2, budget)
     batched_scan = benchmark.pedantic(
         _scan_fixed_budget,
-        args=(cost, family1, family2, budget, True),
+        args=(cost, family1, family2, budget),
         rounds=1,
         iterations=1,
     )
@@ -124,7 +128,7 @@ def test_p1_selection_throughput(benchmark, experiment_scale):
     # --- bit-identical real selection (Lemma 3.9 target) ------------------
     target = params.cost_target(ell, graph.num_nodes)
     outcomes = {}
-    for use_batch in (True, False):
+    for use_batch, scored in ((True, cost), (False, _scalar(cost))):
         selector = HashPairSelector(
             family1,
             family2,
@@ -132,9 +136,8 @@ def test_p1_selection_throughput(benchmark, experiment_scale):
             batch_size=16,
             max_candidates=4096,
             candidate_salt=7,
-            use_batch=use_batch,
         )
-        outcomes[use_batch] = selector.select(cost, target_bound=target)
+        outcomes[use_batch] = selector.select(scored, target_bound=target)
     identical = (
         outcomes[True].h1.seed == outcomes[False].h1.seed
         and outcomes[True].h2.seed == outcomes[False].h2.seed
@@ -152,10 +155,10 @@ def test_p1_selection_throughput(benchmark, experiment_scale):
         independence=params.independence,
     )
     scalar_ce, outcome_ce_scalar = _conditional_expectation_search(
-        cost, family1, narrow_family2, use_batch=False
+        _scalar(cost), family1, narrow_family2
     )
     batched_ce, outcome_ce_batched = _conditional_expectation_search(
-        cost, family1, narrow_family2, use_batch=True
+        cost, family1, narrow_family2
     )
     ce_speedup = scalar_ce / batched_ce
     ce_identical = (

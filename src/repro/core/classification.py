@@ -16,27 +16,24 @@ exposes the cost function used by :class:`repro.derand.HashPairSelector`.
 Two implementations of the cost coexist, by design:
 
 * :func:`classify_partition` — the per-node dataclass path.  It is the
-  *reference implementation*: readable, audited against Definition 3.1, and
-  the one that builds the actual :class:`PartitionClassification` for the
-  selected pair.
+  *reference implementation*: readable and audited against Definition 3.1.
+  The pipelines do not run it; the differential tests compare the batched
+  kernels against it.
 * :class:`PartitionCostEvaluator` (returned by
   :func:`partition_cost_function`) — scores *batches* of candidate pairs as
   a handful of NumPy array operations over the graph's CSR view
   (:mod:`repro.graph.csr`) and the vectorized hash kernels
   (:mod:`repro.hashing.batch`): in-bin degrees, bin sizes and in-bin
-  palette counts all become ``np.bincount`` scatters.
-* :func:`classify_partition_batch` — the batched form of the *final*
-  classification for the pair the selection settled on (one row instead of
-  a candidate batch), producing the same :class:`PartitionClassification`
-  object as the reference; gated by
-  :attr:`repro.core.params.ColorReduceParameters.graph_use_batch`.
+  palette counts all become ``np.bincount`` scatters.  Its
+  :meth:`PartitionCostEvaluator.classify_selected` builds the *final*
+  :class:`PartitionClassification` for the pair the selection settled on
+  (the standalone form is :func:`classify_partition_batch`).
 
 Substitution rule: the batched paths return **bit-identical** results to
 the scalar ones for every pair (same integer counts, same IEEE-754
-comparisons in the same order), so the selection strategies and
-``Partition.run`` may use either interchangeably —
-``tests/test_batch_kernels.py`` and ``tests/test_final_classification.py``
-assert this, including identical selected seeds and colorings end to end.
+comparisons in the same order) — ``tests/test_batch_kernels.py`` and
+``tests/test_final_classification.py`` assert this per kernel, and
+``tests/test_output_digests.py`` pins the end-to-end outputs.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from repro.core.level import (
     child_salt,
     prefetch_partition_level,
 )
-from repro.core.local_coloring import greedy_list_coloring
+from repro.core.local_coloring import GREEDY_ARRAY_CUTOVER_NODES, greedy_list_coloring
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition, PartitionResult
 from repro.derand.conditional_expectation import SelectionStrategy
@@ -172,11 +172,10 @@ class ColorReduce:
         if palettes is None:
             palettes = PaletteAssignment.delta_plus_one(graph)
             palettes_are_implicit = True
-        if self.params.graph_use_batch:
-            # Warm the shared palette-entry store up front: the validation
-            # below vectorizes over it, and the root Partition's evaluator
-            # adopts the same flat arrays instead of re-flattening.
-            palettes.store()
+        # Warm the shared palette-entry store up front: the validation
+        # below vectorizes over it, and the root Partition's evaluator
+        # adopts the same flat arrays instead of re-flattening.
+        palettes.store()
         palettes.validate_for_graph(graph)
         context = self._context
         if context is None:
@@ -457,7 +456,9 @@ class ColorReduce:
         leftover = partition.leftover
         if not leftover.is_empty:
             leftover_palettes = leftover.palettes
-            removed = self._update_palettes(leftover_palettes, graph, coloring)
+            removed = leftover_palettes.remove_colors_used_by_neighbors_batch(
+                graph, coloring
+            )
             update_rounds = state.context.record_palette_update(
                 max(removed, 1), label="palette-update"
             )
@@ -476,8 +477,8 @@ class ColorReduce:
 
         # --- bad graph G_0: update palettes, collect, color locally ----------
         if partition.bad_graph.num_nodes > 0:
-            bad_palettes, removed = self._subset_updated(
-                palettes, partition.bad_graph.nodes(), graph, coloring
+            bad_palettes, removed = palettes.subset_updated(
+                partition.bad_graph.nodes(), graph, coloring
             )
             update_rounds = state.context.record_palette_update(
                 max(removed, 1), label="palette-update"
@@ -497,15 +498,13 @@ class ColorReduce:
         """Whether the cross-bin level prefetch applies under these params.
 
         The segmented pass reproduces exactly the head-batch probes of the
-        single-process, batched ``FIRST_FEASIBLE`` selection; any other
-        configuration (scalar scoring, multiprocess scoring, exhaustive or
-        randomized strategies) keeps the per-bin route.
+        single-process ``FIRST_FEASIBLE`` selection; any other configuration
+        (multiprocess scoring, exhaustive or randomized strategies) keeps
+        the per-bin route.
         """
         params = self.params
         return (
             params.level_use_batch
-            and params.graph_use_batch
-            and params.selection_use_batch
             and params.parallel_workers == 1
             and params.selection_strategy == SelectionStrategy.FIRST_FEASIBLE
         )
@@ -529,40 +528,6 @@ class ColorReduce:
                 return False
         return True
 
-    def _update_palettes(
-        self, palettes: PaletteAssignment, graph: Graph, coloring: Dict[NodeId, Color]
-    ) -> int:
-        """One "update color palettes" step, routed by ``graph_use_batch``.
-
-        The batched kernel prunes every palette in one CSR gather + masked
-        compaction; the scalar loop is the bit-identical reference (same
-        palettes, same ``removed`` count — the quantity the round ledger
-        records as message words).
-        """
-        if self.params.graph_use_batch:
-            return palettes.remove_colors_used_by_neighbors_batch(graph, coloring)
-        return palettes.remove_colors_used_by_neighbors(graph, coloring)
-
-    def _subset_updated(
-        self,
-        palettes: PaletteAssignment,
-        members,
-        graph: Graph,
-        coloring: Dict[NodeId, Color],
-    ) -> tuple:
-        """Restrict to ``members`` and prune colored-neighbor colors.
-
-        The bad-graph and capacity-split steps run these two palette ops
-        back to back; the batched route fuses them into one gather +
-        compaction (:meth:`PaletteAssignment.subset_updated`), the scalar
-        route keeps them as the two reference loops.  Same child palettes,
-        same ``removed`` count either way.
-        """
-        if self.params.graph_use_batch:
-            return palettes.subset_updated(members, graph, coloring)
-        subset = palettes.subset(members)
-        return subset, subset.remove_colors_used_by_neighbors(graph, coloring)
-
     def _collect_and_color(
         self,
         graph: Graph,
@@ -577,13 +542,13 @@ class ColorReduce:
             rounds = state.context.record_collect(words, label=label)
             ledger.charge(label, rounds, words)
             state.context.record_space(words, max_local_words=words)
-            # Batch layer on: force the array sweep above the small-instance
-            # cutover (building the CSR view when a depth-0 collectable
-            # instance arrives cold), and take the scalar loop below it so
+            # Force the array sweep above the small-instance cutover
+            # (building the CSR view when a depth-0 collectable instance
+            # arrives cold), and take the scalar loop below it so
             # deep-recursion leaves skip the sweep's fixed setup
             # (bit-identical either way).
             return greedy_list_coloring(
-                graph, palettes, use_batch=self._greedy_use_batch(graph)
+                graph, palettes, use_batch=graph.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES
             )
         # The instance does not fit on one machine.  The deterministic
         # algorithm never reaches this point (Corollary 3.10 bounds |G_0| by
@@ -594,8 +559,8 @@ class ColorReduce:
         # the missing guarantee.
         coloring: Dict[NodeId, Color] = {}
         for piece in self._split_for_capacity(graph, palettes, state, capacity):
-            piece_palettes, removed = self._subset_updated(
-                palettes, piece.nodes(), graph, coloring
+            piece_palettes, removed = palettes.subset_updated(
+                piece.nodes(), graph, coloring
             )
             if removed:
                 update_rounds = state.context.record_palette_update(
@@ -608,19 +573,12 @@ class ColorReduce:
             state.context.record_space(piece_words, max_local_words=piece_words)
             coloring.update(
                 greedy_list_coloring(
-                    piece, piece_palettes, use_batch=self._greedy_use_batch(piece)
+                    piece,
+                    piece_palettes,
+                    use_batch=piece.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES,
                 )
             )
         return coloring
-
-    def _greedy_use_batch(self, graph: Graph) -> bool:
-        """Which greedy path a collected instance takes (see call sites)."""
-        from repro.core.local_coloring import GREEDY_ARRAY_CUTOVER_NODES
-
-        return (
-            self.params.graph_use_batch
-            and graph.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES
-        )
 
     def _split_for_capacity(
         self,
@@ -645,11 +603,8 @@ class ColorReduce:
             current_words += node_words
         if current:
             piece_nodes.append(current)
-        # One batched extraction for all pieces (they are disjoint chunks);
-        # the scalar reference path is forced when graph_use_batch is off.
-        return graph.induced_subgraphs(
-            piece_nodes, use_csr=self.params.graph_use_batch
-        )
+        # One batched extraction for all pieces (they are disjoint chunks).
+        return graph.induced_subgraphs(piece_nodes)
 
     def _collect_words(
         self, graph: Graph, palettes: PaletteAssignment, state: "_RunState"
@@ -696,9 +651,7 @@ class ColorReduce:
         for bin_instance in partition.color_bins:
             if bin_instance.is_empty:
                 continue
-            store = (
-                bin_instance.palettes.store() if self.params.graph_use_batch else None
-            )
+            store = bin_instance.palettes.store()
             if store is None:
                 violations += self._audit_bin_scalar(
                     bin_instance, next_ell, slack, literal_lemma
@@ -707,8 +660,6 @@ class ColorReduce:
             # Vectorized audit: one comparison sweep per bin over the CSR
             # degrees and the flat palette sizes (aligned through the
             # store's row index), identical counts to the scalar loop.
-            import numpy as np
-
             csr = bin_instance.graph.csr()
             degrees = csr.degrees
             sizes = store.sizes()[store.rows_of(csr.node_ids)]

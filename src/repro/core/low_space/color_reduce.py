@@ -144,10 +144,9 @@ class LowSpaceColorReduce:
         """Color ``graph`` from ``palettes`` (defaults to (deg+1)-lists)."""
         if palettes is None:
             palettes = PaletteAssignment.degree_plus_one(graph)
-        if self.params.graph_use_batch:
-            # Warm the shared palette-entry store: validation vectorizes and
-            # the partition's evaluator adopts the same flat arrays.
-            palettes.store()
+        # Warm the shared palette-entry store: validation vectorizes and
+        # the partition's evaluator adopts the same flat arrays.
+        palettes.store()
         palettes.validate_for_graph(graph)
         simulator = self._simulator
         if simulator is None:
@@ -377,7 +376,9 @@ class LowSpaceColorReduce:
         # --- leftover bin -----------------------------------------------------
         leftover = partition.leftover
         if not leftover.is_empty:
-            removed = self._update_palettes(leftover.palettes, graph, coloring)
+            removed = leftover.palettes.remove_colors_used_by_neighbors_batch(
+                graph, coloring
+            )
             ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
             if made_progress(leftover.graph):
                 child_coloring, child_ledger, child_node = self._color_reduce(
@@ -398,8 +399,8 @@ class LowSpaceColorReduce:
         # --- G_0: the MIS path ------------------------------------------------
         low_graph = partition.low_degree_graph
         if low_graph.num_nodes > 0:
-            low_palettes, removed = self._subset_updated(
-                palettes, low_graph.nodes(), graph, coloring
+            low_palettes, removed = palettes.subset_updated(
+                low_graph.nodes(), graph, coloring
             )
             ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
             mis_coloring, mis_ledger = self._color_by_mis(low_graph, low_palettes, node, state)
@@ -412,51 +413,11 @@ class LowSpaceColorReduce:
         """Whether the cross-bin level prefetch applies under these params.
 
         Same contract as the linear-space driver's gate: the segmented pass
-        reproduces the single-process, batched ``FIRST_FEASIBLE`` head
-        probes (the strategy this driver always uses), so any other scoring
-        configuration keeps the per-bin route.
+        reproduces the single-process ``FIRST_FEASIBLE`` head probes (the
+        strategy this driver always uses), so multiprocess scoring keeps the
+        per-bin route.
         """
-        params = self.params
-        return (
-            params.level_use_batch
-            and params.graph_use_batch
-            and params.selection_use_batch
-            and params.parallel_workers == 1
-        )
-
-    def _update_palettes(
-        self,
-        palettes: PaletteAssignment,
-        graph: Graph,
-        coloring: Dict[NodeId, Color],
-    ) -> int:
-        """One "update color palettes" step, routed by ``graph_use_batch``.
-
-        Same contract as the linear-space driver's helper: the batched
-        kernel and the scalar loop produce identical palettes and
-        ``removed`` counts (the message words the ledger records).
-        """
-        if self.params.graph_use_batch:
-            return palettes.remove_colors_used_by_neighbors_batch(graph, coloring)
-        return palettes.remove_colors_used_by_neighbors(graph, coloring)
-
-    def _subset_updated(
-        self,
-        palettes: PaletteAssignment,
-        members,
-        graph: Graph,
-        coloring: Dict[NodeId, Color],
-    ) -> tuple:
-        """Restrict to ``members`` and prune colored-neighbor colors.
-
-        Fused on the batched route
-        (:meth:`PaletteAssignment.subset_updated`), two reference loops on
-        the scalar one — identical child palettes and ``removed`` counts.
-        """
-        if self.params.graph_use_batch:
-            return palettes.subset_updated(members, graph, coloring)
-        subset = palettes.subset(members)
-        return subset, subset.remove_colors_used_by_neighbors(graph, coloring)
+        return self.params.level_use_batch and self.params.parallel_workers == 1
 
     def _color_by_mis(
         self,

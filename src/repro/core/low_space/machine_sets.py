@@ -25,8 +25,8 @@ kernels — bit-identical by construction and by test, so the derandomized
 selection may score candidate batches as matrix computations.  The
 *selected* pair's full node-level outcome has the same split:
 :func:`node_level_outcome_batch` computes the reference
-:class:`NodeLevelOutcome` from the CSR view, gated by
-:attr:`repro.core.low_space.params.LowSpaceParameters.graph_use_batch`.
+:class:`NodeLevelOutcome` from the CSR view; the pipeline runs the batched
+form and the tests compare it against :func:`node_level_outcome`.
 """
 
 from __future__ import annotations

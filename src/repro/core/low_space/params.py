@@ -37,7 +37,6 @@ class LowSpaceParameters:
     max_recursion_depth: int = 20
     selection_max_candidates: int = 2048
     selection_batch_size: int = 16
-    selection_use_batch: bool = True
     #: Shard candidate-slab scoring across this many worker processes
     #: (:mod:`repro.parallel`); outcomes are bit-identical for every value
     #: and ``1`` (default) is the zero-overhead in-process path — see
@@ -61,16 +60,6 @@ class LowSpaceParameters:
     #: Explicit engagement floor (slab sizes below it stay in-process);
     #: ``None`` = adaptive — see :attr:`repro.core.params.ColorReduceParameters.parallel_min_slab_pairs`.
     parallel_min_slab_pairs: Optional[int] = None
-    #: Route the graph-layer batch kernels: CSR-backed bin-instance
-    #: extraction, the selected pair's batched node-level classification
-    #: (:func:`repro.core.low_space.machine_sets.node_level_outcome_batch`),
-    #: the vectorized palette restriction, and the palette-update endgame
-    #: (:meth:`~repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`
-    #: / :meth:`~repro.graph.palettes.PaletteAssignment.subset_updated` for
-    #: the leftover-bin and MIS-path updates) — all bit-identical to the
-    #: scalar reference; see
-    #: :attr:`repro.core.params.ColorReduceParameters.graph_use_batch`.
-    graph_use_batch: bool = True
     #: Segmented cross-bin head-batch scoring per recursion level
     #: (:mod:`repro.core.level`); bit-identical outcomes either way.  See
     #: :attr:`repro.core.params.ColorReduceParameters.level_use_batch`.

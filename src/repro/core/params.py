@@ -70,10 +70,6 @@ class ColorReduceParameters:
         How the hash pair is chosen (see :mod:`repro.derand`).
     selection_max_candidates / selection_chunk_bits / selection_batch_size:
         Knobs forwarded to :class:`repro.derand.HashPairSelector`.
-    selection_use_batch:
-        Score selection batches through the vectorized cost kernels
-        (bit-identical outcomes; disable to force the scalar reference
-        path, e.g. for benchmarking the kernels themselves).
     parallel_workers:
         Shard candidate-slab scoring across this many worker processes
         (:mod:`repro.parallel`): each selection batch / conditional-
@@ -93,27 +89,6 @@ class ColorReduceParameters:
         All recovery is value-preserving — faults never change an outcome,
         only the :class:`repro.accounting.PoolHealth` record.  Ignored when
         ``parallel_workers == 1``.
-    graph_use_batch:
-        Route the graph-layer batch kernels: bin instances (and
-        capacity-split pieces) materialise through the CSR-backed
-        subgraph-extraction kernels (:func:`repro.graph.csr.split_by_bins` /
-        :func:`repro.graph.csr.extract_induced`), the *selected* pair's
-        final classification runs through
-        :func:`repro.core.classification.classify_partition_batch`, the
-        color-bin palette restriction through the vectorized
-        :meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`,
-        and the ``ColorReduce`` endgame through the array-backed palette
-        store — palette updates via
-        :meth:`~repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`
-        / the fused
-        :meth:`~repro.graph.palettes.PaletteAssignment.subset_updated`,
-        and the local base-case coloring via the array sweep of
-        :func:`repro.core.local_coloring.greedy_list_coloring`
-        (``use_batch``) — instead of the scalar per-neighbor/per-color
-        Python loops.  Bit-identical outcomes — same node insertion order,
-        same adjacency sets, same classifications, same colorings,
-        ``removed`` counts and recursion trees; disable to force the
-        scalar reference paths.
     enforce_palette_surplus:
         If True (default), any node whose restricted palette does not exceed
         its in-bin degree is reclassified as bad.  With the paper exponents
@@ -154,7 +129,6 @@ class ColorReduceParameters:
     selection_chunk_bits: int = 4
     selection_batch_size: int = 16
     selection_rng_seed: int = 0
-    selection_use_batch: bool = True
     parallel_workers: int = 1
     parallel_max_retries: int = 2
     parallel_shard_timeout: float = 30.0
@@ -162,13 +136,10 @@ class ColorReduceParameters:
     parallel_breaker_cooldown: int = 8
     parallel_transport: str = "shm"
     parallel_min_slab_pairs: Optional[int] = None
-    graph_use_batch: bool = True
     #: Score all sibling bins' head candidate batches in one segmented
     #: cross-bin pass per recursion level (:mod:`repro.core.level`) instead
     #: of one per-bin probe each; bit-identical outcomes either way.  Only
-    #: engaged when the batch layers it rides on are also enabled
-    #: (``graph_use_batch``, ``selection_use_batch``, single-process
-    #: selection, FIRST_FEASIBLE).
+    #: engaged with single-process FIRST_FEASIBLE selection.
     level_use_batch: bool = True
     enforce_palette_surplus: bool = True
     checkpoint_path: Optional[str] = None

@@ -53,8 +53,9 @@ additionally caches scores by full joint seed across chunks, since fixing a
 chunk makes later candidate seeds a subset of seeds already scored.
 Batched costs are required to be bit-identical to their scalar form, so the
 selected pair, its cost, and all accounting (``evaluations``,
-``rounds_charged``) are independent of the path; ``use_batch=False`` forces
-the scalar reference path.
+``rounds_charged``) are independent of the path.  A plain callable cost (no
+``many``) is scored one pair at a time by the scalar reference scan; the
+differential tests select with such a wrapper to compare the two.
 
 Multiprocess scoring
 --------------------
@@ -154,10 +155,6 @@ class HashPairSelector:
         Deterministic offset mixed into the candidate-seed sequence so that
         different Partition calls examine different (but still deterministic)
         candidate orders.
-    use_batch:
-        Score candidate batches through the cost's vectorized ``many``
-        method when it offers one (see the module notes on batching below);
-        disable to force the scalar reference path, e.g. for benchmarking.
     parallel_workers:
         Shard batched slabs across this many worker processes (see the
         module notes on multiprocess scoring).  ``1`` (default) scores
@@ -194,7 +191,6 @@ class HashPairSelector:
         max_candidates: int = 4096,
         rng_seed: int = 0,
         candidate_salt: int = 0,
-        use_batch: bool = True,
         parallel_workers: int = 1,
         parallel_recovery=None,
         parallel_transport=None,
@@ -220,7 +216,6 @@ class HashPairSelector:
         self.max_candidates = max_candidates
         self.rng_seed = rng_seed
         self.candidate_salt = candidate_salt
-        self.use_batch = use_batch
         self.parallel_workers = parallel_workers
         self.parallel_recovery = parallel_recovery
         self.parallel_transport = parallel_transport
@@ -426,16 +421,15 @@ class HashPairSelector:
     # internals
     # ------------------------------------------------------------------
     def _batch_cost(self, cost: PairCost):
-        """The cost's vectorized batch scorer, if enabled and available.
+        """The cost's vectorized batch scorer, if it offers one.
 
         A batched cost is any callable with a ``many(pairs) -> values``
         method returning exactly ``[cost(h1, h2) for h1, h2 in pairs]``
         (the evaluators in :mod:`repro.core.classification` and
         :mod:`repro.core.low_space.machine_sets` guarantee bit-identical
         values, so selection outcomes are independent of the path taken).
+        Any other cost takes the scalar scan.
         """
-        if not self.use_batch:
-            return None
         many = getattr(cost, "many", None)
         if not callable(many):
             return None

@@ -21,8 +21,8 @@ The array-view contract, in brief (details in :mod:`repro.graph.csr`):
 rebuilds from the live adjacency sets.  The batched cost evaluators warm
 the view as a side effect of hash-pair selection; ``induced_subgraph`` /
 ``induced_subgraphs`` / ``subgraph_degrees_within`` / ``relabeled`` then
-route through it (``use_csr=None`` means "iff warm"; the partition
-pipelines pass their ``graph_use_batch`` flag explicitly).  Children
+route through it (``use_csr=None`` means "iff warm", ``True`` builds the
+view if needed, ``False`` takes the scalar reference loop).  Children
 produced by the CSR path carry their own canonical warm view and
 materialise their adjacency sets lazily on first set-based access; both
 extraction paths yield the same node insertion order and the same

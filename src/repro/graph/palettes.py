@@ -1022,8 +1022,7 @@ class PaletteAssignment:
         materialised.  Returns ``(child, removed)``, identical to
         ``child = self.subset(nodes)`` followed by
         ``removed = child.remove_colors_used_by_neighbors(graph, coloring)``
-        (the scalar reference the drivers use when ``graph_use_batch`` is
-        off).
+        (the scalar reference the differential tests compare against).
         """
         store = self._store_if_warm()
         frame = store.membership_frame() if store is not None else None

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graph import Graph, PaletteAssignment
@@ -45,3 +49,30 @@ def sparse_random() -> Graph:
 def dense_palettes(dense_random: Graph) -> PaletteAssignment:
     """(Δ+1)-list palettes with a shared universe for the dense graph."""
     return generators.shared_universe_palettes(dense_random, seed=5)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_digests(result):
+    pairs = np.array(sorted(result.coloring.items()), dtype=np.int64).reshape(-1, 2)
+    tree = dataclasses.astuple(result.recursion_root)
+    ledger = (result.rounds, list(result.ledger.snapshot().items()))
+    return (
+        _sha256(pairs.tobytes()),
+        _sha256(repr(tree).encode()),
+        _sha256(repr(ledger).encode()),
+    )
+
+
+@pytest.fixture
+def run_digests():
+    """sha256 digests ``(coloring, recursion tree, ledger)`` of a driver result.
+
+    The coloring is hashed as sorted ``(node, color)`` int64 pairs, the
+    recursion tree as every statistics field of every tree node, and the
+    ledger as the round total plus ``CostLedger.snapshot()`` in phase order.
+    Works for ``ColorReduceResult`` and ``LowSpaceResult`` alike.
+    """
+    return _run_digests

@@ -10,8 +10,6 @@ ranges, independence parameters and both cost equations.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -325,7 +323,9 @@ class TestSelectionEquivalence:
         _, _, params, ell, cost, family1, family2 = _partition_setup()
         target = params.cost_target(ell, cost.graph.num_nodes)
         outcomes = {}
-        for use_batch in (True, False):
+        # A plain callable has no ``many``: the selector scores it one pair
+        # at a time through the scalar reference scan.
+        for label, scored in (("batch", cost), ("scalar", lambda h1, h2: cost(h1, h2))):
             selector = HashPairSelector(
                 family1,
                 family2,
@@ -335,10 +335,9 @@ class TestSelectionEquivalence:
                 completion_samples=2,
                 exact_completion_bits=4,
                 candidate_salt=3,
-                use_batch=use_batch,
             )
-            outcomes[use_batch] = selector.select(cost, target_bound=target)
-        batched, scalar = outcomes[True], outcomes[False]
+            outcomes[label] = selector.select(scored, target_bound=target)
+        batched, scalar = outcomes["batch"], outcomes["scalar"]
         assert batched.h1.seed == scalar.h1.seed
         assert batched.h2.seed == scalar.h2.seed
         assert batched.cost == scalar.cost
@@ -346,147 +345,154 @@ class TestSelectionEquivalence:
         assert batched.rounds_charged == scalar.rounds_charged
         assert batched.fallback_used == scalar.fallback_used
 
-    def test_color_reduce_coloring_identical(self):
+    def test_color_reduce_coloring_identical(self, run_digests):
+        # Recorded while the scalar selection scan could still be selected
+        # per run; both scans produced these digests.
         graph = erdos_renyi(200, 0.06, seed=23)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, selection_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_bad_nodes == results[False].total_bad_nodes
+        result = ColorReduce(ColorReduceParameters.scaled(num_bins=3)).run(graph)
+        assert run_digests(result) == (
+            "dee367412f336875b0b3312cc8e2e147fb5635b2f32e9ece34c8ed35e147ec1e",
+            "6de7f3a5866f184aa586b65a0c7adabcf89dc315014a7364d38417c9a036ea74",
+            "f48e705b3f4af6294c41e052007b7e4747987e2a64b1ace7f2eb9c9569ae7c4b",
+        )
 
 
 # ----------------------------------------------------------------------
-# CSR-backed subgraph extraction: identical pipelines flag-on vs flag-off
+# post-selection stages: the partitions equal their scalar references
 # ----------------------------------------------------------------------
-def _recursion_signature(node):
-    """A recursion tree as comparable data (structure plus statistics)."""
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.ell,
-        node.base_case,
-        node.num_bins,
-        node.num_bad_nodes,
-        node.num_bad_bins,
-        node.bad_graph_size,
-        node.selection_evaluations,
-        node.selection_cost,
-        [_recursion_signature(child) for child in node.children],
-    )
+def _assert_same_graph(actual, expected):
+    assert actual.nodes() == expected.nodes()
+    for node in expected.nodes():
+        assert actual.neighbors(node) == expected.neighbors(node)
 
 
-def _low_space_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.max_degree,
-        node.num_bins,
-        node.low_degree_nodes,
-        node.violating_nodes,
-        node.mis_phases,
-        [_low_space_signature(child) for child in node.children],
-    )
+def _assert_same_palettes(actual, expected):
+    assert sorted(actual.nodes()) == sorted(expected.nodes())
+    for node in expected.nodes():
+        assert actual.palette(node) == expected.palette(node)
 
 
 class TestGraphBatchEquivalence:
-    """``graph_use_batch`` on vs off must be bit-identical end to end."""
+    """The partitions' batch stages against the scalar reference kernels.
+
+    ``Partition.run`` / ``LowSpacePartition.run`` select with the batched
+    evaluator, classify the selected pair, restrict the color-bin palettes
+    and extract every bin instance through the array kernels.  Each stage
+    is recomputed here with its scalar reference — the plain-callable
+    selection scan, ``classify_partition`` / ``node_level_outcome``,
+    ``restricted_to`` and ``induced_subgraph(use_csr=False)`` — and must
+    agree exactly.  End-to-end outputs are pinned by
+    ``tests/test_output_digests.py``.
+    """
 
     def test_partition_identical_instances_and_seeds(self):
+        from repro.core.classification import classify_partition, color_bin_map
+
         graph = erdos_renyi(150, 0.08, seed=11)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        base = ColorReduceParameters.scaled(num_bins=4)
+        params = ColorReduceParameters.scaled(num_bins=4)
         ell = max(float(graph.max_degree()), 2.0)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = Partition(params).run(
-                graph.copy(), palettes.copy(), ell, graph.num_nodes, salt=1
+        n = graph.num_nodes
+        partition = Partition(params)
+        result = partition.run(graph.copy(), palettes.copy(), ell, n, salt=1)
+
+        evaluator = partition_cost_function(graph, palettes, params, ell, n)
+        scalar = partition.select_hash_pair(
+            graph, palettes, ell, n, salt=1, cost=lambda h1, h2: evaluator(h1, h2)
+        )
+        assert (result.h1.seed, result.h2.seed) == (scalar.h1.seed, scalar.h2.seed)
+
+        expected = classify_partition(graph, palettes, result.h1, result.h2, params, ell, n)
+        assert result.classification.nodes == expected.nodes
+        assert result.classification.bad_bins == expected.bad_bins
+        assert result.classification.bin_sizes == expected.bin_sizes
+        _assert_same_graph(
+            result.bad_graph, graph.induced_subgraph(expected.bad_nodes, use_csr=False)
+        )
+        num_color_bins = len(result.color_bins)
+        colors_to_bins = color_bin_map(palettes, result.h2, num_color_bins)
+        for instance in result.color_bins + [result.leftover]:
+            members = expected.good_nodes_in_bin(instance.bin_index)
+            _assert_same_graph(
+                instance.graph, graph.induced_subgraph(members, use_csr=False)
             )
-        batched, scalar = results[True], results[False]
-        assert batched.h1.seed == scalar.h1.seed
-        assert batched.h2.seed == scalar.h2.seed
-        assert batched.bad_graph.nodes() == scalar.bad_graph.nodes()
-        assert len(batched.color_bins) == len(scalar.color_bins)
-        for b_bin, s_bin in zip(
-            batched.color_bins + [batched.leftover],
-            scalar.color_bins + [scalar.leftover],
-        ):
-            assert b_bin.graph.nodes() == s_bin.graph.nodes()
-            for node in s_bin.graph.nodes():
-                assert b_bin.graph.neighbors(node) == s_bin.graph.neighbors(node)
-                assert b_bin.palettes.palette(node) == s_bin.palettes.palette(node)
+            if instance.bin_index < num_color_bins:
+                reference = palettes.restricted_to(
+                    members,
+                    keep_color=lambda c, b=instance.bin_index: colors_to_bins[c] == b,
+                )
+            else:
+                reference = palettes.subset(members)
+            _assert_same_palettes(instance.palettes, reference)
 
-    def test_color_reduce_identical_end_to_end(self):
+    def test_color_reduce_identical_end_to_end(self, run_digests):
         graph = erdos_renyi(200, 0.06, seed=29)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_bad_nodes == results[False].total_bad_nodes
-        assert _recursion_signature(results[True].recursion_root) == _recursion_signature(
-            results[False].recursion_root
+        result = ColorReduce(ColorReduceParameters.scaled(num_bins=3)).run(graph)
+        assert run_digests(result) == (
+            "9bf21d7ef9c3c0788afc54b047a9f67a8dda28f6f5ecd2ac9fee6b3395b085dd",
+            "4eeb640105247cb233e8edfe47a56e19e5757f4d719ce318b99cabd53b32025c",
+            "b7eb3996eba32a120d4795c9c7dfc3847b3ab270301fc9efcd32ad15decf596b",
         )
 
-    def test_color_reduce_identical_paper_mode(self):
+    def test_color_reduce_identical_paper_mode(self, run_digests):
         graph = erdos_renyi(120, 0.1, seed=31)
-        results = {}
-        for use_batch in (True, False):
-            params = ColorReduceParameters(graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert _recursion_signature(results[True].recursion_root) == _recursion_signature(
-            results[False].recursion_root
+        result = ColorReduce(ColorReduceParameters()).run(graph)
+        assert run_digests(result) == (
+            "053f300bdd02d359ce8a3389c552a54e010aefa935457e2af115492045e774df",
+            "0d2e27ef1741a41d30864fad7a03eb47b02da9ad211eb72086aa8de971cfc953",
+            "70593bdec70ce73ff1a0239ccbf26ccfe67f7c0746eb1a5895aa205171752979",
         )
 
-    def test_low_space_color_reduce_identical_end_to_end(self):
+    def test_low_space_color_reduce_identical_end_to_end(self, run_digests):
         from repro.core.low_space.color_reduce import LowSpaceColorReduce
 
         graph = erdos_renyi(150, 0.12, seed=37)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
-            )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpaceColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_mis_phases == results[False].total_mis_phases
-        assert _low_space_signature(results[True].recursion_root) == _low_space_signature(
-            results[False].recursion_root
+        params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6, machine_chunk=8)
+        result = LowSpaceColorReduce(params).run(graph)
+        assert run_digests(result) == (
+            "446163229742a8ecb1e0255342aacbd8b9343a504d92e9aafb745f590d0781a2",
+            "197dd92af8f7705506f19757601b8c6ea6ba72ce302df5fd6d251d0fae63b7e1",
+            "a65206d3fc5360e8f0e7d89463e05eec9bac2627fa257ec89b9c4fd48fe28183",
         )
 
     def test_low_space_partition_identical_seeds(self):
+        from repro.core.classification import color_bin_map
+        from repro.core.low_space.machine_sets import node_level_outcome
         from repro.core.low_space.partition import LowSpacePartition
 
         graph = erdos_renyi(150, 0.1, seed=13)
         palettes = PaletteAssignment.degree_plus_one(graph)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
+        params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6, machine_chunk=8)
+        n = graph.num_nodes
+        result = LowSpacePartition(params).run(graph.copy(), palettes.copy(), n, salt=2)
+
+        threshold = params.low_degree_threshold(n)
+        high = {node for node in graph.nodes() if graph.degree(node) > threshold}
+        num_bins = params.num_bins(n)
+        expected = node_level_outcome(
+            graph, palettes, high, result.h1, result.h2, params, num_bins
+        )
+        assert result.num_violating_nodes == len(expected.violating_nodes)
+        low = set(graph.nodes()).difference(high) | expected.violating_nodes
+        _assert_same_graph(
+            result.low_degree_graph, graph.induced_subgraph(low, use_csr=False)
+        )
+        usable = high.difference(expected.violating_nodes)
+        num_color_bins = len(result.color_bins)
+        colors_to_bins = color_bin_map(palettes, result.h2, num_color_bins)
+        for instance in result.color_bins + [result.leftover]:
+            members = [
+                node for node in usable
+                if expected.bin_of_node[node] == instance.bin_index
+            ]
+            _assert_same_graph(
+                instance.graph, graph.induced_subgraph(members, use_csr=False)
             )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpacePartition(params).run(
-                graph.copy(), palettes.copy(), graph.num_nodes, salt=2
-            )
-        batched, scalar = results[True], results[False]
-        assert batched.h1.seed == scalar.h1.seed
-        assert batched.h2.seed == scalar.h2.seed
-        assert batched.num_violating_nodes == scalar.num_violating_nodes
-        assert batched.low_degree_graph.nodes() == scalar.low_degree_graph.nodes()
-        for b_bin, s_bin in zip(
-            batched.color_bins + [batched.leftover],
-            scalar.color_bins + [scalar.leftover],
-        ):
-            assert b_bin.graph.nodes() == s_bin.graph.nodes()
-            for node in s_bin.graph.nodes():
-                assert b_bin.graph.neighbors(node) == s_bin.graph.neighbors(node)
+            if instance.bin_index < num_color_bins:
+                reference = palettes.restricted_to(
+                    members,
+                    keep_color=lambda c, b=instance.bin_index: colors_to_bins[c] == b,
+                )
+            else:
+                reference = palettes.subset(members)
+            _assert_same_palettes(instance.palettes, reference)

@@ -120,22 +120,24 @@ class TestColorReduceCorrectness:
         with pytest.raises(PaletteError, match="LowSpaceColorReduce"):
             ColorReduce().run(star, palettes)
 
-    @pytest.mark.parametrize("graph_use_batch", [True, False])
-    def test_undersized_palette_message_names_first_offender(self, graph_use_batch):
+    # A color beyond int64 leaves the palettes without an array store, so
+    # the check reads the per-node sets instead of the store's sizes.
+    @pytest.mark.parametrize("last_color", [6, 1 << 63], ids=["store", "sets"])
+    def test_undersized_palette_message_names_first_offender(self, last_color):
         # Path 4-3-2-1-0 in that insertion order: the endpoints (degree 1)
         # pass the deg+1 check with 2 colors but not ColorReduce's p(v) > Δ.
         path = Graph(nodes=[4, 3, 2, 1, 0], edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
         palettes = PaletteAssignment.from_lists(
-            {0: [0, 1], 1: [0, 1, 2], 2: [0, 1, 2], 3: [0, 1, 2], 4: [5, 6]}
+            {0: [0, 1], 1: [0, 1, 2], 2: [0, 1, 2], 3: [0, 1, 2], 4: [5, last_color]}
         )
-        params = ColorReduceParameters(graph_use_batch=graph_use_batch)
+        assert (palettes.store() is None) == (last_color > 6)
         message = (
             "node 4 has only 2 colors but ColorReduce requires more than l = 2 "
             "per node ((Δ+1)-list coloring); use LowSpaceColorReduce for "
             "(deg+1)-list instances"
         )
         with pytest.raises(PaletteError) as info:
-            ColorReduce(params).run(path, palettes)
+            ColorReduce().run(path, palettes)
         assert str(info.value) == message
 
     def test_deterministic_output(self, dense_random, dense_palettes):

@@ -38,6 +38,56 @@ class TestMix64:
         assert len(set(values)) == 100
 
 
+def _recursion_salts(count):
+    """The first ``count`` salts of a 4-bin recursion tree, root salt 1."""
+    from repro.core.level import child_salt
+
+    salts = [1]
+    for parent in salts:
+        if len(salts) >= count:
+            break
+        salts.extend(child_salt(parent, ordinal) for ordinal in range(4))
+    return salts[:count]
+
+
+class TestChildSalt:
+    """``child_salt`` names every Partition call of the recursion; the
+    selector's candidate sequence depends on it alone."""
+
+    def test_deterministic(self):
+        from repro.core.level import child_salt
+
+        parents = _recursion_salts(200)
+        assert [child_salt(s, 2) for s in parents] == [child_salt(s, 2) for s in parents]
+        # Pinned: the same across processes and interpreter runs.
+        assert child_salt(1, 0) == 4294279809680864835
+        assert child_salt(1, 3) == 9016151524459764997
+
+    def test_parent_salt_changes_result(self):
+        from repro.core.level import child_salt
+
+        parents = _recursion_salts(200)
+        for ordinal in range(4):
+            values = [child_salt(s, ordinal) for s in parents]
+            assert len(set(values)) == len(parents)
+
+    def test_ordinal_changes_result(self):
+        from repro.core.level import child_salt
+
+        for parent in _recursion_salts(200):
+            values = [child_salt(parent, ordinal) for ordinal in range(16)]
+            assert len(set(values)) == 16
+
+    @pytest.mark.parametrize("modulus", [2, 3, 8])
+    def test_residues_all_reachable(self, modulus):
+        from repro.core.level import child_salt
+
+        parents = _recursion_salts(200)
+        for ordinal in range(4):
+            seen = {child_salt(s, ordinal) % modulus for s in parents}
+            assert seen == set(range(modulus))
+
+
 class TestSelectorConfiguration:
     def test_invalid_parameters(self):
         family1, family2 = small_families()
@@ -210,10 +260,8 @@ class TestFirstFeasibleHeadScoring:
         return families, make_cost
 
     @staticmethod
-    def _select(families, cost, bound, use_batch, batch_size):
-        selector = HashPairSelector(
-            *families, batch_size=batch_size, max_candidates=64, use_batch=use_batch
-        )
+    def _select(families, cost, bound, batch_size):
+        selector = HashPairSelector(*families, batch_size=batch_size, max_candidates=64)
         try:
             outcome = selector.select(cost, target_bound=bound)
         except DerandomizationError as exc:
@@ -243,10 +291,13 @@ class TestFirstFeasibleHeadScoring:
         assert values[0] > best
         bounds = [None, values[0], best, best - 1]
 
-        reference = [
-            self._select(families, make_cost(), bound, False, batch_size)
-            for bound in bounds
-        ]
+        # A plain callable has no ``many``, so it takes the scalar scan.
+        reference = []
+        for bound in bounds:
+            cost = make_cost()
+            reference.append(
+                self._select(families, lambda h1, h2: cost(h1, h2), bound, batch_size)
+            )
         scalar_calls = []
         original = PartitionCostEvaluator.__call__
 
@@ -256,7 +307,7 @@ class TestFirstFeasibleHeadScoring:
 
         monkeypatch.setattr(PartitionCostEvaluator, "__call__", spy)
         batched = [
-            self._select(families, make_cost(), bound, True, batch_size)
+            self._select(families, make_cost(), bound, batch_size)
             for bound in bounds
         ]
         assert scalar_calls == []

@@ -1,10 +1,9 @@
 """Scalar/batch equivalence of the post-selection (final) classification.
 
-PR 3 routes the *selected* pair's classification, the color-bin palette
-restriction and the lazy-view structural queries through the batch layer,
-gated by ``graph_use_batch``.  Exactly like the selection kernels, the new
-paths are only allowed to exist as bit-identical substitutions for the
-scalar references:
+The partitions run the *selected* pair's classification, the color-bin
+palette restriction and the lazy-view structural queries through the batch
+layer.  Exactly like the selection kernels, these paths are only allowed to
+exist as bit-identical substitutions for the scalar references:
 
 * :func:`repro.core.classification.classify_partition_batch` must rebuild
   the reference :class:`PartitionClassification` field by field,

@@ -1,13 +1,15 @@
 """Pinned output digests of the three drivers on registered workloads.
 
 Each case runs one driver on one registered workload and compares sha256
-digests of its three observable outputs against recorded values:
+digests of its three observable outputs (the ``run_digests`` fixture in
+``conftest.py``) against recorded values:
 
 * the coloring, as sorted ``(node, color)`` int64 pairs;
 * the recursion-tree signature, every statistics field of every tree node;
 * the ``CostLedger.snapshot()``, per-phase ``(rounds, message_words)``.
 
-A refactor of the hot stages (selection scoring, classification, palette
+The values were recorded while the scalar reference route could still be
+selected per run, and both routes produced them.  A refactor of the hot stages (selection scoring, classification, palette
 restriction, bin extraction, palette updates, base-case coloring) must
 leave all three bit-identical, so these digests are the end-to-end guard
 behind the per-kernel differential tests.  A deliberate change of the
@@ -16,11 +18,6 @@ algorithm's output re-records them from the assertion's observed values.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from repro.core.color_reduce import ColorReduce
@@ -29,21 +26,6 @@ from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.experiments.workloads import build_workload
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _digests(result):
-    pairs = np.array(sorted(result.coloring.items()), dtype=np.int64).reshape(-1, 2)
-    tree = dataclasses.astuple(result.recursion_root)
-    ledger = (result.rounds, list(result.ledger.snapshot().items()))
-    return (
-        _sha256(pairs.tobytes()),
-        _sha256(repr(tree).encode()),
-        _sha256(repr(ledger).encode()),
-    )
 
 
 def _first_feasible():
@@ -113,14 +95,10 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("use_batch", [True, False], ids=["batch", "scalar"])
 @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda case: "-".join(map(str, case)))
-def test_outputs_match_pinned_digests(case, use_batch):
+def test_outputs_match_pinned_digests(case, run_digests):
     driver_name, workload, num_nodes = case
     driver, make_params = _DRIVERS[driver_name]
-    params = replace(
-        make_params(), selection_use_batch=use_batch, graph_use_batch=use_batch
-    )
     graph, palettes, _ = build_workload(workload, num_nodes, seed=1)
-    observed = _digests(driver(params).run(graph, palettes))
+    observed = run_digests(driver(make_params()).run(graph, palettes))
     assert observed == PINNED[case]

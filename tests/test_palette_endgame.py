@@ -5,14 +5,12 @@ the flat sorted-array store) that answer every operation identically; the
 batched endgame kernels — ``remove_colors_used_by_neighbors_batch``,
 ``subset_updated``, the array sweep of ``greedy_list_coloring``, the
 vectorized ``validate_for_graph`` / ``min_slack`` — are bit-identical
-substitutions for their scalar references; and flipping ``graph_use_batch``
-changes *nothing* observable end to end (colorings, recursion trees, round
-ledgers including the palette-update ``removed`` counts).
+substitutions for their scalar references; and the batched endgame changes
+*nothing* observable end to end (colorings, recursion trees, round ledgers
+including the palette-update ``removed`` counts).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -325,126 +323,78 @@ class TestGreedyBatchEdges:
 
 
 # ----------------------------------------------------------------------
-# tier-1 guard: the flag changes nothing observable, endgame included
+# tier-1 guard: the batched endgame changes nothing observable
 # ----------------------------------------------------------------------
-def _recursion_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.ell,
-        node.base_case,
-        node.num_bins,
-        node.num_bad_nodes,
-        node.num_bad_bins,
-        node.bad_graph_size,
-        [_recursion_signature(child) for child in node.children],
-    )
-
-
-def _low_space_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.max_degree,
-        node.num_bins,
-        node.low_degree_nodes,
-        node.violating_nodes,
-        node.mis_phases,
-        [_low_space_signature(child) for child in node.children],
-    )
-
-
 class TestEndgameGuard:
-    """``graph_use_batch`` on vs off: identical colorings, trees and ledgers."""
+    """Colorings, trees and ledgers (palette-update ``removed`` counts
+    included) pinned to the values both the batched endgame and the scalar
+    reference produced when either could still be selected per run."""
 
-    def test_color_reduce_identical_including_removed_counts(self):
+    def test_color_reduce_identical_including_removed_counts(self, run_digests):
         graph = power_law(220, attachment=4, seed=17)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        batched, scalar = results[True], results[False]
-        assert batched.coloring == scalar.coloring
-        assert batched.rounds == scalar.rounds
-        assert _recursion_signature(batched.recursion_root) == _recursion_signature(
-            scalar.recursion_root
+        result = ColorReduce(ColorReduceParameters.scaled(num_bins=3)).run(graph)
+        assert run_digests(result) == (
+            "4b4b95facb474a61ad2825b782a243f1c884ac6117c1683bfd0ab6a5ed101556",
+            "4f1fd67ef390bb5520ea72f77c7f7d2c3f1ceae1ba2280d340e7a8ec56b43db0",
+            "a9f19c145ffdc7f94e109567956307651c8a282cb1377ed563abc8362c70c3c4",
         )
-        # the palette-update phase records the removed counts as words
-        assert batched.ledger.phase("palette-update").message_words == scalar.ledger.phase(
-            "palette-update"
-        ).message_words
-        assert batched.ledger.phase("palette-update").rounds == scalar.ledger.phase(
-            "palette-update"
-        ).rounds
-        assert batched.ledger.snapshot() == scalar.ledger.snapshot()
 
-    def test_low_space_identical_including_removed_counts(self):
+    def test_low_space_identical_including_removed_counts(self, run_digests):
         graph = erdos_renyi(160, 0.12, seed=19)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
-            )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpaceColorReduce(params).run(graph.copy())
-        batched, scalar = results[True], results[False]
-        assert batched.coloring == scalar.coloring
-        assert batched.rounds == scalar.rounds
-        assert _low_space_signature(batched.recursion_root) == _low_space_signature(
-            scalar.recursion_root
+        params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6, machine_chunk=8)
+        result = LowSpaceColorReduce(params).run(graph)
+        assert run_digests(result) == (
+            "4261bd3cc3d51db785fb52ef7c541ae247f8be287c7a76cf85f704a4bb920425",
+            "6d2c5c36764108dc3af5fac11c3e18acc0f7a475d85e08124dcc229406a836bc",
+            "b12a88a9075336eb5c43141b3f24949b72dc98491d571d7d92d5655c8e42f158",
         )
-        assert batched.ledger.phase("palette-update").message_words == scalar.ledger.phase(
-            "palette-update"
-        ).message_words
-        assert batched.ledger.snapshot() == scalar.ledger.snapshot()
 
     def test_capacity_split_path_identical(self):
         # A squeezed local capacity forces _collect_and_color's split loop
         # (the fused subset_updated + piece-greedy path, normally reached
-        # only by the randomized baseline's oversized bad graphs); both
-        # flags must agree bit for bit, removed counts included.
+        # only by the randomized baseline's oversized bad graphs).  It must
+        # equal the scalar references applied piece by piece — restrict,
+        # prune colored neighbors, greedy loop — removed counts included.
         from repro.accounting import CostLedger
         from repro.congested_clique.model import CongestedCliqueSimulator
         from repro.core.color_reduce import _RunState
         from repro.core.context import CongestedCliqueContext
         from repro.graph.validation import assert_valid_list_coloring
 
+        capacity = 150
+
         class SqueezedContext(CongestedCliqueContext):
             def local_instance_capacity_words(self) -> int:
-                return 150
+                return capacity
 
         graph = erdos_renyi(60, 0.2, seed=23)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        results = {}
-        for use_batch in (True, False):
-            params = ColorReduceParameters.scaled(
-                num_bins=3, graph_use_batch=use_batch
-            )
-            context = SqueezedContext(CongestedCliqueSimulator(graph.num_nodes))
-            state = _RunState(
-                context=context,
-                params=params,
-                global_nodes=graph.num_nodes,
-                palettes_are_implicit=False,
-            )
-            ledger = CostLedger()
-            instance = graph.copy()
-            instance_palettes = palettes.copy()
-            if use_batch:
-                instance.csr()
-                instance_palettes.store()
-            coloring = ColorReduce(params)._collect_and_color(
-                instance, instance_palettes, ledger, state, label="local-color"
-            )
-            results[use_batch] = (coloring, ledger.snapshot())
-        batched_coloring, batched_ledger = results[True]
-        scalar_coloring, scalar_ledger = results[False]
+        params = ColorReduceParameters.scaled(num_bins=3)
+        state = _RunState(
+            context=SqueezedContext(CongestedCliqueSimulator(graph.num_nodes)),
+            params=params,
+            global_nodes=graph.num_nodes,
+            palettes_are_implicit=False,
+        )
+        driver = ColorReduce(params)
+        ledger = CostLedger()
+        instance = graph.copy()
+        instance_palettes = palettes.copy()
+        instance.csr()
+        instance_palettes.store()
+        coloring = driver._collect_and_color(
+            instance, instance_palettes, ledger, state, label="local-color"
+        )
+
+        expected = {}
+        removed = 0
+        for piece in driver._split_for_capacity(graph, palettes, state, capacity):
+            piece_palettes = palettes.subset(piece.nodes())
+            removed += piece_palettes.remove_colors_used_by_neighbors(graph, expected)
+            expected.update(greedy_list_coloring(piece, piece_palettes, use_batch=False))
         # the instance is oversized, so the split loop ran and updated
         # palettes between pieces
-        assert "palette-update" in batched_ledger
-        assert batched_coloring == scalar_coloring
-        assert batched_ledger == scalar_ledger
-        assert_valid_list_coloring(graph, palettes, batched_coloring)
+        assert removed > 0
+        assert coloring == expected
+        assert ledger.phase("palette-update").message_words == removed
+        assert_valid_list_coloring(graph, palettes, coloring)

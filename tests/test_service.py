@@ -229,6 +229,27 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
         ({"edges": EDGES, "algorithm": "quantum"}, "unknown algorithm"),
         ({"edges": EDGES, "params": 7}, "'params' must be a JSON object"),
         ({"edges": EDGES, "params": {"nope": 1}}, "unknown parameter"),
+        # The retired scalar-route switches, for both parameter sets.
+        (
+            {"edges": EDGES, "params": {"graph_use_batch": False}},
+            "unknown parameter 'graph_use_batch' for algorithm with "
+            "ColorReduceParameters; accepted: ['bin_cap_slack_exponent', ",
+        ),
+        (
+            {"edges": EDGES, "params": {"selection_use_batch": True}},
+            "unknown parameter 'selection_use_batch' for algorithm with "
+            "ColorReduceParameters; accepted: ['bin_cap_slack_exponent', ",
+        ),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"graph_use_batch": False}},
+            "unknown parameter 'graph_use_batch' for algorithm with "
+            "LowSpaceParameters; accepted: ['degree_slack_exponent', ",
+        ),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"selection_use_batch": True}},
+            "unknown parameter 'selection_use_batch' for algorithm with "
+            "LowSpaceParameters; accepted: ['degree_slack_exponent', ",
+        ),
         (
             {"edges": EDGES, "params": {"checkpoint_path": "/tmp/x"}},
             "service-owned",
