@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accounting import CostLedger
+from repro.accounting import CostLedger, PoolHealth, RunDurability, ServiceTelemetry
 from repro.congested_clique import CongestedCliqueSimulator, LenzenRouter, RoutingRequest
 from repro.congested_clique.router import LENZEN_ROUTING_ROUNDS
 from repro.errors import (
@@ -53,6 +53,43 @@ class TestCostLedger:
         ledger = CostLedger()
         ledger.charge("x", 2, 7)
         assert ledger.snapshot() == {"x": (2, 7)}
+
+
+#: Every counter of each record, in field order: the CLI, ``/v1/healthz``
+#: and the logs render them in exactly this order.
+_COUNTER_FIELDS = {
+    PoolHealth: (
+        "shard_retries shard_timeouts worker_deaths worker_respawns "
+        "error_replies integrity_failures in_process_rescues breaker_trips "
+        "breaker_skipped_slabs bytes_shipped bytes_shared orphan_segments_swept"
+    ),
+    ServiceTelemetry: (
+        "jobs_submitted jobs_rejected jobs_computed jobs_failed jobs_cancelled "
+        "jobs_resumed cache_hits cache_misses cache_stores"
+    ),
+    RunDurability: (
+        "checkpoints_written checkpoint_bytes subtrees_recorded "
+        "subtrees_restored nodes_restored guard_polls rss_peak_mb "
+        "prefetch_disabled buffer_shrinks"
+    ),
+}
+
+
+@pytest.mark.parametrize("record_type", list(_COUNTER_FIELDS), ids=lambda t: t.__name__)
+def test_counter_record_rendering(record_type):
+    names = _COUNTER_FIELDS[record_type].split()
+    record = record_type()
+    for value, name in enumerate(names, start=1):
+        record.bump(name, value)
+    assert record.as_dict() == {name: value for value, name in enumerate(names, start=1)}
+    assert list(record.as_dict()) == names
+    assert record.summary() == " ".join(
+        f"{name}={value}" for value, name in enumerate(names, start=1)
+    )
+    record.bump(names[0])
+    assert record.as_dict()[names[0]] == 2
+    with pytest.raises(AttributeError):
+        record.bump("no_such_counter")
 
 
 class TestLenzenRouter:
