@@ -603,8 +603,9 @@ class ColorReduce:
             current_words += node_words
         if current:
             piece_nodes.append(current)
-        # One batched extraction for all pieces (they are disjoint chunks).
-        return graph.induced_subgraphs(piece_nodes)
+        # One batched extraction for all pieces (they are disjoint chunks);
+        # a depth-0 instance may arrive CSR-cold, so the view is forced.
+        return graph.induced_subgraphs(piece_nodes, use_csr=True)
 
     def _collect_words(
         self, graph: Graph, palettes: PaletteAssignment, state: "_RunState"

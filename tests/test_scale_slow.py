@@ -44,8 +44,8 @@ def _fingerprint(result):
 def test_level_flag_and_workers_deterministic_at_1e5():
     """n = 10^5: segmented prefetch on/off and 1 vs 2 workers all agree.
 
-    The baseline configuration engages the cross-bin prefetch (batch flags
-    on, one worker); the variants disable it two different ways — by the
+    The baseline configuration engages the cross-bin prefetch
+    (``level_use_batch`` on, one worker); the variants disable it two different ways — by the
     ``level_use_batch`` flag and by the ``parallel_workers > 1`` gate —
     and every run must produce the identical coloring, recursion tree,
     round count and per-phase ledger.

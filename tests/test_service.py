@@ -229,6 +229,14 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
         ({"edges": EDGES, "algorithm": "quantum"}, "unknown algorithm"),
         ({"edges": EDGES, "params": 7}, "'params' must be a JSON object"),
         ({"edges": EDGES, "params": {"nope": 1}}, "unknown parameter"),
+        (
+            {"edges": EDGES, "params": {"checkpoint_path": "/tmp/x"}},
+            "service-owned",
+        ),
+        (
+            {"edges": EDGES, "params": {"selection_strategy": "psychic"}},
+            "unknown selection_strategy",
+        ),
         # The retired scalar-route switches, for both parameter sets.
         (
             {"edges": EDGES, "params": {"graph_use_batch": False}},
@@ -249,14 +257,6 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
             {"edges": EDGES, "algorithm": "low-space", "params": {"selection_use_batch": True}},
             "unknown parameter 'selection_use_batch' for algorithm with "
             "LowSpaceParameters; accepted: ['degree_slack_exponent', ",
-        ),
-        (
-            {"edges": EDGES, "params": {"checkpoint_path": "/tmp/x"}},
-            "service-owned",
-        ),
-        (
-            {"edges": EDGES, "params": {"selection_strategy": "psychic"}},
-            "unknown selection_strategy",
         ),
     ],
 )
