@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.level import child_salt
 from repro.derand.conditional_expectation import (
     HashPairSelector,
     SelectionStrategy,
@@ -40,8 +41,6 @@ class TestMix64:
 
 def _recursion_salts(count):
     """The first ``count`` salts of a 4-bin recursion tree, root salt 1."""
-    from repro.core.level import child_salt
-
     salts = [1]
     for parent in salts:
         if len(salts) >= count:
@@ -55,8 +54,6 @@ class TestChildSalt:
     selector's candidate sequence depends on it alone."""
 
     def test_deterministic(self):
-        from repro.core.level import child_salt
-
         parents = _recursion_salts(200)
         assert [child_salt(s, 2) for s in parents] == [child_salt(s, 2) for s in parents]
         # Pinned: the same across processes and interpreter runs.
@@ -64,24 +61,18 @@ class TestChildSalt:
         assert child_salt(1, 3) == 9016151524459764997
 
     def test_parent_salt_changes_result(self):
-        from repro.core.level import child_salt
-
         parents = _recursion_salts(200)
         for ordinal in range(4):
             values = [child_salt(s, ordinal) for s in parents]
             assert len(set(values)) == len(parents)
 
     def test_ordinal_changes_result(self):
-        from repro.core.level import child_salt
-
         for parent in _recursion_salts(200):
             values = [child_salt(parent, ordinal) for ordinal in range(16)]
             assert len(set(values)) == 16
 
     @pytest.mark.parametrize("modulus", [2, 3, 8])
     def test_residues_all_reachable(self, modulus):
-        from repro.core.level import child_salt
-
         parents = _recursion_salts(200)
         for ordinal in range(4):
             seen = {child_salt(s, ordinal) % modulus for s in parents}
