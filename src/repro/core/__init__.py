@@ -9,6 +9,9 @@ substrates in :mod:`repro.graph`, :mod:`repro.hashing`,
 * :mod:`repro.core.classification` — good/bad nodes and bins
   (Definition 3.1) and the cost function of Equation (1),
 * :mod:`repro.core.partition` — ``Partition`` (Algorithm 2),
+* :mod:`repro.core.driver` — the recursion shared by Algorithms 1 and 3
+  (durability, pool health, level prefetch); each pipeline supplies its
+  level step,
 * :mod:`repro.core.color_reduce` — ``ColorReduce`` (Algorithm 1) with round
   and space accounting in either the CONGESTED CLIQUE or linear-space MPC
   context,

@@ -26,17 +26,14 @@ rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.accounting import CostLedger, PoolHealth, RunDurability
-from repro.core.level import (
-    LEVEL_PREFETCH_MIN_SIZE,
-    child_salt,
-    prefetch_low_space_level,
-)
+from repro.core.driver import Coloring, RecursionDriver, RunState
+from repro.core.level import prefetch_low_space_level
 from repro.core.low_space.mis_reduction import color_via_mis
 from repro.core.low_space.params import LowSpaceParameters
-from repro.core.low_space.partition import LowSpacePartition
+from repro.core.low_space.partition import LowSpacePartition, LowSpacePartitionResult
 from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
@@ -107,7 +104,7 @@ class LowSpaceResult:
         return self.recursion_root.max_depth()
 
 
-class LowSpaceColorReduce:
+class LowSpaceColorReduce(RecursionDriver):
     """Deterministic (deg+1)-list coloring for the low-space MPC regime.
 
     Parameters
@@ -157,37 +154,10 @@ class LowSpaceColorReduce:
                     epsilon=self.params.epsilon,
                 )
             )
-        durable = None
-        if self.params.durability_enabled():
-            from repro.runtime.durability import DurableRun
-
-            durable = DurableRun.from_params(
-                self.params, "low-space", graph, palettes, max(graph.num_nodes, 1)
-            )
-        state = _LowSpaceState(
-            simulator=simulator,
-            global_nodes=max(graph.num_nodes, 1),
-            durable=durable,
+        state = RunState(global_nodes=max(graph.num_nodes, 1), simulator=simulator)
+        coloring, ledger, tree, run_health, durability = self._drive(
+            "low-space", graph, palettes, None, state
         )
-        health_baseline = None
-        if self.params.parallel_workers > 1:
-            from repro.parallel.executor import pool_health
-
-            health_baseline = pool_health()
-        if durable is None:
-            coloring, ledger, tree = self._color_reduce(
-                graph, palettes.copy(), depth=0, state=state, salt=1
-            )
-        else:
-            with durable.active():
-                coloring, ledger, tree = self._color_reduce(
-                    graph, palettes.copy(), depth=0, state=state, salt=1
-                )
-        run_health = PoolHealth()
-        if health_baseline is not None:
-            from repro.parallel.executor import pool_health
-
-            run_health = pool_health().delta(health_baseline)
         if self.validate:
             assert_valid_list_coloring(graph, palettes, coloring)
         return LowSpaceResult(
@@ -199,87 +169,36 @@ class LowSpaceColorReduce:
             total_mis_phases=tree.total_mis_phases(),
             simulator=simulator,
             pool_health=run_health,
-            durability=durable.telemetry if durable is not None else RunDurability(),
+            durability=durability,
         )
 
     # ------------------------------------------------------------------
-    def _color_reduce(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        depth: int,
-        state: "_LowSpaceState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, LowSpaceRecursionNode]:
-        """One node of the recursion, through the durability layer.
-
-        Same contract as the linear-space driver's wrapper: zero-overhead
-        passthrough without durability knobs; with them, entries poll the
-        guardrails, checkpointed salts are restored (bit-identical replay)
-        and completed shallow subtrees are recorded.
-        """
-        durable = state.durable
-        if durable is None:
-            return self._color_reduce_node(
-                graph, palettes, depth, state, salt, prefetched
-            )
-        durable.poll()
-        entry = durable.restored(salt)
-        if entry is not None:
-            return dict(entry["coloring"]), entry["ledger"].copy(), entry["tree"]
-        durable.enter(salt)
-        try:
-            coloring, ledger, node = self._color_reduce_node(
-                graph, palettes, depth, state, salt, prefetched
-            )
-        finally:
-            durable.exit(salt)
-        durable.completed(
-            salt,
-            depth,
-            lambda: {
-                "coloring": dict(coloring),
-                "ledger": ledger.copy(),
-                "tree": node,
-                "bad_nodes": 0,
-                "violations": 0,
-            },
-        )
-        return coloring, ledger, node
-
-    def _color_reduce_node(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        depth: int,
-        state: "_LowSpaceState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, LowSpaceRecursionNode]:
-        """One node of the recursion.
-
-        ``salt`` is the call's positional identity (root 1, children via
-        :func:`repro.core.level.child_salt` on their bin index), which lets
-        the parent prefetch a whole level's head-batch scores in one
-        segmented pass; ``prefetched`` carries this instance's
-        :class:`~repro.core.level.CachedPairCost` when it did.
-        """
-        ledger = CostLedger()
-        node = LowSpaceRecursionNode(
+    # the level step (see repro.core.driver)
+    # ------------------------------------------------------------------
+    def _tree_node(self, graph: Graph, ell: None, depth: int) -> LowSpaceRecursionNode:
+        return LowSpaceRecursionNode(
             depth=depth,
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
             max_degree=graph.max_degree(),
         )
+
+    def _base_case(
+        self, graph: Graph, palettes, depth: int, state: RunState, ledger, node
+    ) -> Optional[Coloring]:
         if graph.num_nodes == 0:
-            return {}, ledger, node
+            return {}
         if depth >= self.params.max_recursion_depth:
             raise ReproError(
                 f"low-space recursion depth {depth} exceeded; the partition is not "
                 "reducing degrees (check the parameters)"
             )
+        return None
 
+    def _partition(
+        self, graph: Graph, palettes, ell: None, state: RunState, ledger, node, salt, prefetched
+    ) -> LowSpacePartitionResult:
+        """``LowSpacePartition(G)`` (Algorithm 4), its statistics and charges."""
         partition = LowSpacePartition(self.params).run(
             graph,
             palettes,
@@ -297,135 +216,35 @@ class LowSpaceColorReduce:
             min(shuffle_words, state.simulator.regime.total_space_words)
         )
         ledger.charge("partition-shuffle", PARTITION_SHUFFLE_ROUNDS, shuffle_words)
+        return partition
 
-        coloring: Dict[NodeId, Color] = {}
+    def _g0(self, partition: LowSpacePartitionResult) -> Graph:
+        return partition.low_degree_graph
 
-        # A child that contains every node of the parent would recurse
-        # forever (possible only for small residual degrees, where the hash
-        # happens to map every node to one bin); such children take the MIS
-        # path directly instead.  Larger instances cannot degenerate this way
-        # because an all-in-one-bin assignment violates the selection
-        # conditions.
-        def made_progress(child_graph: Graph) -> bool:
-            return child_graph.num_nodes < graph.num_nodes
+    def _recurses(self, graph: Graph, child_graph: Graph) -> bool:
+        """Whether a bin made progress (has fewer nodes than its parent).
 
-        # --- segmented cross-bin prefetch (repro.core.level) -----------------
-        # Score every recursing bin's head batch of hash-pair candidates in
-        # one segmented pass before descending (children whose nodes are all
-        # low-degree are skipped inside the prefetch — their Partition call
-        # takes the trivial path).  Best-effort: any failure falls back to
-        # the per-bin evaluators with bit-identical selections.
-        prefetched_costs: Dict[int, object] = {}
-        if (
-            self._level_prefetch_enabled()
-            and depth + 1 < self.params.max_recursion_depth
-            and (state.durable is None or state.durable.prefetch_allowed)
-        ):
-            eligible = [
-                (
-                    bin_instance.bin_index,
-                    child_salt(salt, bin_instance.bin_index),
-                    bin_instance.graph,
-                    bin_instance.palettes,
-                )
-                for bin_instance in partition.color_bins
-                if bin_instance.graph.size() >= LEVEL_PREFETCH_MIN_SIZE
-                and made_progress(bin_instance.graph)
-                # Bins whose subtrees restore from the checkpoint never
-                # reach their Partition call — don't score them.
-                and (
-                    state.durable is None
-                    or not state.durable.has(child_salt(salt, bin_instance.bin_index))
-                )
-            ]
-            if eligible:
-                try:
-                    prefetched_costs = prefetch_low_space_level(
-                        eligible, self.params, state.global_nodes
-                    )
-                except Exception:  # pragma: no cover - prefetch is best-effort
-                    prefetched_costs = {}
-
-        # --- color bins recurse in parallel ---------------------------------
-        parallel_ledger: Optional[CostLedger] = None
-        for bin_instance in partition.color_bins:
-            if bin_instance.is_empty:
-                continue
-            if made_progress(bin_instance.graph):
-                child_coloring, child_ledger, child_node = self._color_reduce(
-                    bin_instance.graph,
-                    bin_instance.palettes,
-                    depth + 1,
-                    state,
-                    salt=child_salt(salt, bin_instance.bin_index),
-                    prefetched=prefetched_costs.get(bin_instance.bin_index),
-                )
-                node.children.append(child_node)
-            else:
-                child_coloring, child_ledger = self._color_by_mis(
-                    bin_instance.graph, bin_instance.palettes, node, state
-                )
-            coloring.update(child_coloring)
-            if parallel_ledger is None:
-                parallel_ledger = child_ledger
-            else:
-                parallel_ledger.merge_parallel(child_ledger)
-        if parallel_ledger is not None:
-            ledger.merge_sequential(parallel_ledger)
-
-        # --- leftover bin -----------------------------------------------------
-        leftover = partition.leftover
-        if not leftover.is_empty:
-            removed = leftover.palettes.remove_colors_used_by_neighbors_batch(
-                graph, coloring
-            )
-            ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
-            if made_progress(leftover.graph):
-                child_coloring, child_ledger, child_node = self._color_reduce(
-                    leftover.graph,
-                    leftover.palettes,
-                    depth + 1,
-                    state,
-                    salt=child_salt(salt, partition.num_bins - 1),
-                )
-                node.children.append(child_node)
-            else:
-                child_coloring, child_ledger = self._color_by_mis(
-                    leftover.graph, leftover.palettes, node, state
-                )
-            coloring.update(child_coloring)
-            ledger.merge_sequential(child_ledger)
-
-        # --- G_0: the MIS path ------------------------------------------------
-        low_graph = partition.low_degree_graph
-        if low_graph.num_nodes > 0:
-            low_palettes, removed = palettes.subset_updated(
-                low_graph.nodes(), graph, coloring
-            )
-            ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
-            mis_coloring, mis_ledger = self._color_by_mis(low_graph, low_palettes, node, state)
-            ledger.merge_sequential(mis_ledger)
-            coloring.update(mis_coloring)
-
-        return coloring, ledger, node
-
-    def _level_prefetch_enabled(self) -> bool:
-        """Whether the cross-bin level prefetch applies under these params.
-
-        Same contract as the linear-space driver's gate: the segmented pass
-        reproduces the single-process ``FIRST_FEASIBLE`` head probes (the
-        strategy this driver always uses), so multiprocess scoring keeps the
-        per-bin route.
+        A child that contains every node of the parent would recurse
+        forever (possible only for small residual degrees, where the hash
+        happens to map every node to one bin); such children take the MIS
+        path directly instead.  Larger instances cannot degenerate this
+        way because an all-in-one-bin assignment violates the selection
+        conditions.
         """
-        return self.params.level_use_batch and self.params.parallel_workers == 1
+        return child_graph.num_nodes < graph.num_nodes
 
-    def _color_by_mis(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        node: LowSpaceRecursionNode,
-        state: "_LowSpaceState",
-    ) -> tuple[Dict[NodeId, Color], CostLedger]:
+    def _charge_palette_update(self, ledger: CostLedger, removed: int, state: RunState) -> None:
+        ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
+
+    def _will_partition(self, graph: Graph, palettes, depth: int, state: RunState) -> bool:
+        # Children whose nodes are all low-degree are skipped inside the
+        # prefetch — their partition call takes the trivial path.
+        return depth < self.params.max_recursion_depth
+
+    def _prefetch_level(self, eligible, next_ell: None, state: RunState) -> Dict[int, object]:
+        return prefetch_low_space_level(eligible, self.params, state.global_nodes)
+
+    def _finish(self, graph: Graph, palettes, node, state: RunState) -> Tuple[Coloring, CostLedger]:
         """Color one instance via the MIS reduction and charge its rounds."""
         ledger = CostLedger()
         mis_coloring, mis_result, reduction = color_via_mis(graph, palettes, self.mis_solver)
@@ -440,13 +259,3 @@ class LowSpaceColorReduce:
         )
         return mis_coloring, ledger
 
-
-@dataclass
-class _LowSpaceState:
-    """Bookkeeping threaded through one ``LowSpaceColorReduce`` run."""
-
-    simulator: MPCSimulator
-    global_nodes: int
-    #: The run's :class:`repro.runtime.durability.DurableRun`, or ``None``
-    #: when no durability knob is set.
-    durable: Optional[object] = None

@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.params import RunKnobs
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class LowSpaceParameters:
+class LowSpaceParameters(RunKnobs):
     """Numeric knobs of ``LowSpaceColorReduce`` / ``LowSpacePartition``."""
 
     epsilon: float = 0.5
@@ -92,45 +93,7 @@ class LowSpaceParameters:
             raise ConfigurationError("low_degree_threshold_override must be positive")
         if self.machine_chunk_override is not None and self.machine_chunk_override < 1:
             raise ConfigurationError("machine_chunk_override must be positive")
-        if self.parallel_workers < 1:
-            raise ConfigurationError("parallel_workers must be at least 1")
-        if self.parallel_max_retries < 0:
-            raise ConfigurationError("parallel_max_retries must be >= 0")
-        if self.parallel_shard_timeout <= 0:
-            raise ConfigurationError("parallel_shard_timeout must be positive")
-        if self.parallel_breaker_threshold < 1:
-            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-        if self.parallel_breaker_cooldown < 1:
-            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-        if self.parallel_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "parallel_transport must be 'shm' or 'pickle'"
-            )
-        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
-            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
-        from repro.core.params import _validate_durability
-
-        _validate_durability(self)
-
-    def durability_enabled(self) -> bool:
-        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
-        from repro.core.params import _durability_enabled
-
-        return _durability_enabled(self)
-
-    def parallel_recovery_policy(self):
-        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
-        ``None`` when ``parallel_workers == 1``."""
-        if self.parallel_workers < 2:
-            return None
-        from repro.parallel.executor import RecoveryPolicy
-
-        return RecoveryPolicy(
-            max_shard_retries=self.parallel_max_retries,
-            shard_timeout=self.parallel_shard_timeout,
-            breaker_threshold=self.parallel_breaker_threshold,
-            breaker_cooldown=self.parallel_breaker_cooldown,
-        )
+        self._validate_run_knobs()
 
     # ------------------------------------------------------------------
     @classmethod

@@ -35,8 +35,65 @@ from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import ConfigurationError
 
 
+class RunKnobs:
+    """Run-level knobs both parameter sets carry: the parallel scoring pool
+    (``parallel_*``) and durability (see :mod:`repro.runtime`).  It has no
+    fields, so it adds nothing to the field set parameter fingerprints hash."""
+
+    def _validate_run_knobs(self) -> None:
+        """Shared ``__post_init__`` checks of the pool and durability knobs."""
+        if self.parallel_workers < 1:
+            raise ConfigurationError("parallel_workers must be at least 1")
+        if self.parallel_max_retries < 0:
+            raise ConfigurationError("parallel_max_retries must be >= 0")
+        if self.parallel_shard_timeout <= 0:
+            raise ConfigurationError("parallel_shard_timeout must be positive")
+        if self.parallel_breaker_threshold < 1:
+            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
+        if self.parallel_breaker_cooldown < 1:
+            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
+        if self.parallel_transport not in ("shm", "pickle"):
+            raise ConfigurationError(
+                "parallel_transport must be 'shm' or 'pickle'"
+            )
+        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
+            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
+        if self.checkpoint_every_levels < 1:
+            raise ConfigurationError("checkpoint_every_levels must be at least 1")
+        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+            raise ConfigurationError("memory_budget_mb must be positive")
+        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+            raise ConfigurationError("deadline_seconds must be positive")
+        if self.checkpoint_path is not None and not str(self.checkpoint_path).strip():
+            raise ConfigurationError("checkpoint_path must not be empty")
+        if self.resume_path is not None and not str(self.resume_path).strip():
+            raise ConfigurationError("resume_path must not be empty")
+
+    def durability_enabled(self) -> bool:
+        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
+        return any(
+            getattr(self, knob) is not None
+            for knob in ("checkpoint_path", "resume_path", "memory_budget_mb", "deadline_seconds")
+        )
+
+    def parallel_recovery_policy(self):
+        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
+        ``None`` when ``parallel_workers == 1`` (the in-process path never
+        imports the parallel package)."""
+        if self.parallel_workers < 2:
+            return None
+        from repro.parallel.executor import RecoveryPolicy
+
+        return RecoveryPolicy(
+            max_shard_retries=self.parallel_max_retries,
+            shard_timeout=self.parallel_shard_timeout,
+            breaker_threshold=self.parallel_breaker_threshold,
+            breaker_cooldown=self.parallel_breaker_cooldown,
+        )
+
+
 @dataclass(frozen=True)
-class ColorReduceParameters:
+class ColorReduceParameters(RunKnobs):
     """All numeric knobs of the partitioning recursion.
 
     Attributes
@@ -161,27 +218,7 @@ class ColorReduceParameters:
             raise ConfigurationError("num_bins_override must be at least 2")
         if self.min_ell < 1:
             raise ConfigurationError("min_ell must be at least 1")
-        if self.parallel_workers < 1:
-            raise ConfigurationError("parallel_workers must be at least 1")
-        if self.parallel_max_retries < 0:
-            raise ConfigurationError("parallel_max_retries must be >= 0")
-        if self.parallel_shard_timeout <= 0:
-            raise ConfigurationError("parallel_shard_timeout must be positive")
-        if self.parallel_breaker_threshold < 1:
-            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-        if self.parallel_breaker_cooldown < 1:
-            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-        if self.parallel_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "parallel_transport must be 'shm' or 'pickle'"
-            )
-        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
-            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
-        _validate_durability(self)
-
-    def durability_enabled(self) -> bool:
-        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
-        return _durability_enabled(self)
+        self._validate_run_knobs()
 
     # ------------------------------------------------------------------
     # alternate constructors
@@ -223,21 +260,6 @@ class ColorReduceParameters:
     def with_strategy(self, strategy: SelectionStrategy) -> "ColorReduceParameters":
         """A copy using a different hash-selection strategy."""
         return replace(self, selection_strategy=strategy)
-
-    def parallel_recovery_policy(self):
-        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
-        ``None`` when ``parallel_workers == 1`` (the in-process path never
-        imports the parallel package)."""
-        if self.parallel_workers < 2:
-            return None
-        from repro.parallel.executor import RecoveryPolicy
-
-        return RecoveryPolicy(
-            max_shard_retries=self.parallel_max_retries,
-            shard_timeout=self.parallel_shard_timeout,
-            breaker_threshold=self.parallel_breaker_threshold,
-            breaker_cooldown=self.parallel_breaker_cooldown,
-        )
 
     @property
     def is_scaled(self) -> bool:
@@ -361,30 +383,3 @@ class ColorReduceParameters:
             # deferred to G_0 exactly like probabilistically-bad nodes.
             return max(4.0, 0.01 * global_nodes, literal)
         return max(1.0, literal)
-
-
-def _validate_durability(params) -> None:
-    """Shared ``__post_init__`` checks of the durability knobs (both param
-    sets carry the same five fields; see :mod:`repro.runtime`)."""
-    if params.checkpoint_every_levels < 1:
-        raise ConfigurationError("checkpoint_every_levels must be at least 1")
-    if params.memory_budget_mb is not None and params.memory_budget_mb <= 0:
-        raise ConfigurationError("memory_budget_mb must be positive")
-    if params.deadline_seconds is not None and params.deadline_seconds <= 0:
-        raise ConfigurationError("deadline_seconds must be positive")
-    if params.checkpoint_path is not None and not str(params.checkpoint_path).strip():
-        raise ConfigurationError("checkpoint_path must not be empty")
-    if params.resume_path is not None and not str(params.resume_path).strip():
-        raise ConfigurationError("resume_path must not be empty")
-
-
-def _durability_enabled(params) -> bool:
-    return any(
-        getattr(params, knob) is not None
-        for knob in (
-            "checkpoint_path",
-            "resume_path",
-            "memory_budget_mb",
-            "deadline_seconds",
-        )
-    )

@@ -6,7 +6,6 @@ still being able to distinguish the failure modes that matter:
 
 * model violations (a protocol exceeded a round/space/message budget),
 * invalid colorings (a produced coloring is not proper or not from palettes),
-* invariant violations (the paper's Lemma 3.2 invariant failed),
 * configuration errors (impossible parameters).
 """
 
@@ -47,10 +46,6 @@ class SpaceLimitExceededError(ModelViolationError):
 
 class BandwidthExceededError(ModelViolationError):
     """Raised when a congested-clique node exceeds its per-round bandwidth."""
-
-
-class InvariantViolationError(ReproError):
-    """Raised when the Lemma 3.2 / Corollary 3.3 invariant is violated."""
 
 
 class DerandomizationError(ReproError):

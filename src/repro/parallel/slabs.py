@@ -198,6 +198,31 @@ def publish_arrays(arrays: Dict[str, "object"], generation: int):
     return name, tuple(manifest)
 
 
+def _inherited_tracker(after_fork: bool) -> bool:
+    """Whether this process talks to a resource tracker another one started.
+
+    A spawned child is handed its parent's running tracker (descriptor
+    set, no pid) before it imports this module; a forked child shares the
+    parent's tracker if it was running at the fork.
+    """
+    tracker = getattr(_resource_tracker, "_resource_tracker", None)
+    if getattr(tracker, "_fd", None) is None:
+        return False
+    return after_fork or getattr(tracker, "_pid", None) is None
+
+
+_TRACKER_INHERITED = _inherited_tracker(after_fork=False)
+
+
+def _note_fork() -> None:
+    global _TRACKER_INHERITED
+    _TRACKER_INHERITED = _inherited_tracker(after_fork=True)
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=_note_fork)
+
+
 def attach_arrays(name: str, generation: int, manifest: ArrayManifest):
     """Attach to a published segment and rebuild its array views in place.
 
@@ -212,8 +237,13 @@ def attach_arrays(name: str, generation: int, manifest: ArrayManifest):
     # bpo-39959: attaching registers the segment with this process's
     # resource tracker, which would unlink it at process exit even though
     # the parent still owns it.  Undo the registration (Python < 3.13 has
-    # no ``track=False``).
-    if _resource_tracker is not None:
+    # no ``track=False``) — but only in a tracker this process started for
+    # itself.  The owner's tracker (in the owner, in spawned workers, and
+    # in workers forked after it started) holds the owner's registration
+    # under the same name; unregistering there would drop it, leaving the
+    # live segment untracked and the owner's unlink failing in the tracker.
+    shared = _TRACKER_INHERITED or name in _OWNED_SEGMENTS
+    if _resource_tracker is not None and not shared:
         try:
             _resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker API drift

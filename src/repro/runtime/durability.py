@@ -79,7 +79,7 @@ def current_supervisor():
 
 
 class DurableRun:
-    """Durability state threaded through one driver run via ``_RunState``."""
+    """Durability state threaded through one driver run via ``RunState``."""
 
     def __init__(
         self,

@@ -237,6 +237,18 @@ class TestFingerprints:
 # ---------------------------------------------------------------------------
 # in-process resume bit-identity
 # ---------------------------------------------------------------------------
+#: driver -> (algorithm, parameter class, scaled parameters) of the
+#: partial-frontier resume test.
+_PARTIAL_FRONTIER_DRIVERS = {
+    "linear": (ColorReduce, ColorReduceParameters, dict(num_bins=4, collect_factor=0.25)),
+    "low-space": (
+        LowSpaceColorReduce,
+        LowSpaceParameters,
+        dict(num_bins=4, low_degree_threshold=6),
+    ),
+}
+
+
 class TestResumeBitIdentity:
     def test_linear_driver_checkpoint_then_resume(self, tmp_path, instance):
         graph, palettes = instance
@@ -272,28 +284,42 @@ class TestResumeBitIdentity:
         _assert_same_run(resumed, reference)
         assert resumed.durability.resumed
 
+    @pytest.mark.parametrize("driver", ["linear", "low-space"])
     @pytest.mark.parametrize("drop_seed", [0, 1, 2, 3])
     def test_resuming_any_partial_frontier_is_outcome_neutral(
-        self, tmp_path, instance, drop_seed
+        self, tmp_path, instance, drop_seed, driver, monkeypatch
     ):
         """The strong determinism property behind the whole design: delete
-        an arbitrary subset of recorded subtrees from a full checkpoint and
-        the resumed run still reproduces the reference bit-for-bit — the
-        dropped subtrees are simply recomputed."""
+        an arbitrary subset of recorded subtrees from a checkpoint and the
+        resumed run still reproduces the reference bit-for-bit — the
+        dropped subtrees are simply recomputed.  Both pipelines run the
+        same durability wrapper of the shared recursion driver.
+
+        The final checkpoint of a finished run holds the root alone, so the
+        frontier used is the widest one written mid-run."""
         import random
 
+        import repro.runtime.checkpoint as checkpoint_module
+
+        algorithm, parameters, scaled = _PARTIAL_FRONTIER_DRIVERS[driver]
         graph, palettes = instance
-        params = ColorReduceParameters.scaled(num_bins=4, collect_factor=0.25)
-        reference = ColorReduce(params=params).run(graph, palettes)
+        reference = algorithm(params=parameters.scaled(**scaled)).run(graph, palettes)
         ck = str(tmp_path / "full.ckpt")
-        ColorReduce(
-            params=ColorReduceParameters.scaled(
-                num_bins=4, collect_factor=0.25, checkpoint_path=ck
-            )
+        frontiers = []
+
+        def keep_frontier(path, payload):
+            frontiers.append({"header": payload["header"], "entries": dict(payload["entries"])})
+            return write_checkpoint(path, payload)
+
+        monkeypatch.setattr(checkpoint_module, "write_checkpoint", keep_frontier)
+        algorithm(
+            params=parameters.scaled(**scaled, checkpoint_path=ck)
         ).run(graph, palettes)
-        payload = load_checkpoint(ck)
+        monkeypatch.undo()
+        payload = max(frontiers, key=lambda frontier: len(frontier["entries"]))
         salts = sorted(payload["entries"])
         assert salts, "expected a non-empty frontier"
+        assert len(salts) > 1, "expected a mid-run frontier of several subtrees"
         rng = random.Random(drop_seed)
         kept = {
             s: payload["entries"][s]
@@ -301,12 +327,11 @@ class TestResumeBitIdentity:
             if rng.random() < 0.5
         }
         write_checkpoint(ck, {"header": payload["header"], "entries": kept})
-        resumed = ColorReduce(
-            params=ColorReduceParameters.scaled(
-                num_bins=4, collect_factor=0.25, resume_path=ck
-            )
+        resumed = algorithm(
+            params=parameters.scaled(**scaled, resume_path=ck)
         ).run(graph, palettes)
         _assert_same_run(resumed, reference)
+        assert resumed.durability.subtrees_restored == len(kept)
 
     def test_resume_is_neutral_with_parallel_workers(self, tmp_path, instance):
         graph, palettes = instance

@@ -357,8 +357,8 @@ class TestEndgameGuard:
         # prune colored neighbors, greedy loop — removed counts included.
         from repro.accounting import CostLedger
         from repro.congested_clique.model import CongestedCliqueSimulator
-        from repro.core.color_reduce import _RunState
         from repro.core.context import CongestedCliqueContext
+        from repro.core.driver import RunState
         from repro.graph.validation import assert_valid_list_coloring
 
         capacity = 150
@@ -370,9 +370,8 @@ class TestEndgameGuard:
         graph = erdos_renyi(60, 0.2, seed=23)
         palettes = PaletteAssignment.delta_plus_one(graph)
         params = ColorReduceParameters.scaled(num_bins=3)
-        state = _RunState(
+        state = RunState(
             context=SqueezedContext(CongestedCliqueSimulator(graph.num_nodes)),
-            params=params,
             global_nodes=graph.num_nodes,
             palettes_are_implicit=False,
         )

@@ -329,6 +329,100 @@ class TestStartMethodRegistry:
 
 
 # ----------------------------------------------------------------------
+# resource tracker: workers must leave the owner's registrations alone
+# ----------------------------------------------------------------------
+_TWO_POOLED_RUNS = """
+import hashlib
+import json
+import os
+
+from repro.core.color_reduce import ColorReduce
+from repro.core.params import ColorReduceParameters
+from repro.derand.conditional_expectation import SelectionStrategy
+from repro.graph.generators import erdos_renyi
+from repro.graph.palettes import PaletteAssignment
+from repro.parallel import executor, shutdown_executors
+
+
+def main():
+    executor.MIN_PARALLEL_PAIRS = 2
+    params = ColorReduceParameters.scaled(
+        num_bins=3,
+        parallel_workers=2,
+        parallel_min_slab_pairs=2,
+        selection_strategy=SelectionStrategy.EXHAUSTIVE,
+        selection_max_candidates=64,
+    )
+    runs = []
+    for _ in range(2):
+        graph = erdos_renyi(150, 0.12, seed=23)
+        result = ColorReduce(params).run(graph, PaletteAssignment.delta_plus_one(graph))
+        outcome = repr((sorted(result.coloring.items()), result.ledger.snapshot()))
+        runs.append({
+            "digest": hashlib.sha256(outcome.encode()).hexdigest(),
+            "worker_deaths": result.pool_health.worker_deaths,
+            "bytes_shared": result.pool_health.bytes_shared,
+        })
+        shutdown_executors()
+    print(json.dumps({"pid": os.getpid(), "runs": runs}))
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+class TestResourceTracker:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_two_pooled_runs_keep_the_owner_tracker_intact(self, start_method, tmp_path):
+        """A worker sharing the parent's resource tracker (every spawned
+        worker; a forked one once the parent's tracker runs) must not
+        unregister the parent's segments: the tracker would then report a
+        ``KeyError`` for each of the parent's unlinks."""
+        import json
+        import subprocess
+        import sys
+
+        from repro.parallel.executor import MIN_PAIRS_ENV, START_METHOD_ENV
+
+        script = tmp_path / "two_pooled_runs.py"
+        script.write_text(_TWO_POOLED_RUNS)
+        src = str(Path(slabs.__file__).resolve().parents[2])
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env.update(
+            {
+                "PYTHONPATH": src,
+                START_METHOD_ENV: start_method,
+                MIN_PAIRS_ENV: "2",
+            }
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        first, second = report["runs"]
+        assert first["digest"] == second["digest"]
+        assert first["bytes_shared"] > 0, "the shm transport was not exercised"
+        assert first["worker_deaths"] == second["worker_deaths"] == 0
+        leftover = {
+            name
+            for name in _repro_segments()
+            if name.startswith(f"{SEGMENT_PREFIX}{report['pid']}_")
+        }
+        assert not leftover
+
+
+# ----------------------------------------------------------------------
 # end-to-end: chaos replay against the shm transport
 # ----------------------------------------------------------------------
 def _run_color_reduce(workers: int, **knobs):
