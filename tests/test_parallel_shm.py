@@ -341,11 +341,10 @@ from repro.core.params import ColorReduceParameters
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.graph.generators import erdos_renyi
 from repro.graph.palettes import PaletteAssignment
-from repro.parallel import executor, shutdown_executors
+from repro.parallel import shutdown_executors
 
 
 def main():
-    executor.MIN_PARALLEL_PAIRS = 2
     params = ColorReduceParameters.scaled(
         num_bins=3,
         parallel_workers=2,
